@@ -14,7 +14,7 @@ use adn_core::algorithm::{
 };
 use adn_core::lower_bounds;
 use adn_core::subroutines::{
-    run_async_line_to_tree, run_line_to_tree, run_tree_to_star, AsyncLineConfig, LineToTreeConfig,
+    run_async_line_to_tree, run_line_to_tree, run_tree_to_star, LineToTreeConfig,
 };
 use adn_core::tasks::{disseminate_after_transformation, disseminate_by_flooding_only};
 use adn_graph::properties::ceil_log2;
@@ -161,12 +161,9 @@ pub fn f3_async_equivalence(sizes: &[usize]) -> String {
             ),
         ] {
             let mut net = Network::new(generators::line(n));
-            let config = AsyncLineConfig {
-                arity: 2,
-                protected_edges: Default::default(),
-                wake_round: wake,
-            };
-            let (tree, rounds) = run_async_line_to_tree(&mut net, &line, &config).unwrap();
+            let (tree, rounds) =
+                run_async_line_to_tree(&mut net, &line, &LineToTreeConfig::binary(), &wake)
+                    .unwrap();
             out.push_str(&format!(
                 "| {n} | {label} | {} | {rounds} | {} |\n",
                 if tree == sync.0 { "yes" } else { "NO" },

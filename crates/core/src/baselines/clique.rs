@@ -45,27 +45,6 @@ impl NodeProgram for CliqueNode {
     }
 }
 
-/// Runs clique formation from `initial` until the spanning clique is
-/// complete. The elected leader is the maximum-UID node (from the clique,
-/// electing it takes a single round of local comparison, which is included
-/// in the reported round count by the termination-detection round).
-///
-/// # Errors
-///
-/// Returns an error if the initial graph is disconnected (the clique can
-/// then never span the network) or on simulator round-limit violations.
-#[deprecated(
-    since = "0.2.0",
-    note = "use adn_core::algorithm::CliqueFormation (ReconfigurationAlgorithm) or the Experiment builder"
-)]
-pub fn run_clique_formation(
-    initial: &Graph,
-    uids: &UidMap,
-) -> Result<TransformationOutcome, CoreError> {
-    let mut network = Network::new(initial.clone());
-    execute(&mut network, uids, &RunConfig::traced())
-}
-
 /// Executes clique formation on `network` (trait entry point; see
 /// [`crate::algorithm::CliqueFormation`]).
 pub(crate) fn execute(
@@ -107,8 +86,9 @@ pub(crate) fn execute(
 ///
 /// # Errors
 ///
-/// As [`run_clique_formation`]; additionally if `target` has a different
-/// node count.
+/// Returns an error if the initial graph is disconnected (the clique can
+/// then never span the network), if `target` has a different node count,
+/// or on simulator round-limit violations.
 pub fn run_clique_then_prune(
     initial: &Graph,
     uids: &UidMap,

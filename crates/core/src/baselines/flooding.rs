@@ -16,15 +16,6 @@ use adn_runtime::{FreeScheduler, SeededScheduler};
 use adn_sim::engine::{run_programs, EngineConfig, NodeDecision, NodeProgram, NodeView};
 use adn_sim::Network;
 
-/// The old name of the flooding result. Flooding now reports through the
-/// shared outcome type; token counts live in
-/// [`TransformationOutcome::tokens_per_node`].
-#[deprecated(
-    since = "0.2.0",
-    note = "folded into TransformationOutcome (see the tokens_per_node field)"
-)]
-pub type FloodingOutcome = TransformationOutcome;
-
 struct FloodNode {
     /// Known tokens, kept sorted and duplicate-free — inbound messages
     /// are themselves sorted (clones of a sender's `known`), so absorbing
@@ -95,23 +86,10 @@ impl NodeProgram for FloodNode {
 }
 
 /// Floods all tokens over the static graph until every node holds every
-/// token. The returned outcome's `tokens_per_node` field records how many
-/// tokens each node ended with (all `n` on success) and `leader` is the
-/// maximum-UID node elected as a by-product of full dissemination.
-///
-/// # Errors
-///
-/// Returns [`CoreError::InvalidInput`] for disconnected graphs (flooding
-/// would never complete) and propagates simulator errors.
-#[deprecated(
-    since = "0.2.0",
-    note = "use adn_core::algorithm::Flooding (ReconfigurationAlgorithm) or the Experiment builder"
-)]
-pub fn run_flooding(graph: &Graph, uids: &UidMap) -> Result<TransformationOutcome, CoreError> {
-    flood(graph, uids)
-}
-
-/// Non-deprecated internal entry used by the task layer.
+/// token (the task layer's entry point). The returned outcome's
+/// `tokens_per_node` field records how many tokens each node ended with
+/// (all `n` on success) and `leader` is the maximum-UID node elected as a
+/// by-product of full dissemination.
 pub(crate) fn flood(graph: &Graph, uids: &UidMap) -> Result<TransformationOutcome, CoreError> {
     let mut network = Network::new(graph.clone());
     execute(&mut network, uids, &RunConfig::default())

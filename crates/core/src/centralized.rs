@@ -4,12 +4,14 @@
 //! controller deciding every node's actions. They serve two roles in the
 //! paper and in this reproduction:
 //!
-//! 1. [`run_cut_in_half_on_line`] is the `CutInHalf` algorithm: on a
+//! 1. [`CentralizedCutInHalf`](crate::algorithm::CentralizedCutInHalf)
+//!    is the `CutInHalf` algorithm: on a
 //!    spanning line it reaches diameter `O(log n)` in `log n` rounds with
 //!    only `Θ(n)` total edge activations — establishing that the
 //!    centralized optimum for total activations is linear (tight against
 //!    Lemma 6.2 / D.3).
-//! 2. [`run_centralized_general`] is the strategy of Theorem 6.3 / D.5 for
+//! 2. [`CentralizedGeneral`](crate::algorithm::CentralizedGeneral) is the
+//!    strategy of Theorem 6.3 / D.5 for
 //!    arbitrary connected graphs: compute a spanning tree, walk an Euler
 //!    tour to obtain a *virtual ring* of at most `2n` positions, and run
 //!    `CutInHalf` on it. It shows the `Θ(n)`-activation bound holds for
@@ -22,41 +24,6 @@ use crate::{CoreError, TransformationOutcome};
 use adn_graph::traversal::{bfs_spanning_tree, euler_tour};
 use adn_graph::{Graph, NodeId, UidMap};
 use adn_sim::Network;
-
-/// Runs `CutInHalf` on a network whose initial graph is a spanning line
-/// given by `line` (consecutive entries adjacent). In round `i` it
-/// activates the edges `(u_j, u_{j + 2^i})` for every `j` that is a
-/// multiple of `2^i`, doubling the reachable distance each round.
-///
-/// Returns the outcome with the line's first node as root/leader.
-///
-/// # Errors
-///
-/// [`CoreError::InvalidInput`] if `line` is not a path of the network.
-#[deprecated(
-    since = "0.2.0",
-    note = "use adn_core::algorithm::CentralizedCutInHalf (ReconfigurationAlgorithm) or the Experiment builder"
-)]
-pub fn run_cut_in_half_on_line(
-    initial: &Graph,
-    line: &[NodeId],
-) -> Result<TransformationOutcome, CoreError> {
-    if line.is_empty() {
-        return Err(CoreError::InvalidInput {
-            reason: "line must be non-empty".into(),
-        });
-    }
-    for w in line.windows(2) {
-        if !initial.has_edge(w[0], w[1]) {
-            return Err(CoreError::InvalidInput {
-                reason: format!("line nodes {} and {} are not adjacent", w[0], w[1]),
-            });
-        }
-    }
-    let mut network = Network::new(initial.clone());
-    cut_in_half(&mut network, line, &RunConfig::default())?;
-    Ok(TransformationOutcome::from_network(line[0], &mut network))
-}
 
 /// Executes `CutInHalf` on `network`, whose current snapshot must be a
 /// spanning line; the line order is recovered by walking from an endpoint
@@ -156,32 +123,6 @@ fn cut_in_half(
         step = hop;
     }
     Ok(())
-}
-
-/// The general centralized strategy of Theorem 6.3: spanning tree → Euler
-/// tour → virtual ring → `CutInHalf`, followed (optionally) by a single
-/// clean-up round that prunes the graph down to a BFS tree rooted at
-/// `root`, yielding a Depth-`O(log n)` tree.
-///
-/// # Errors
-///
-/// [`CoreError::InvalidInput`] for disconnected graphs.
-#[deprecated(
-    since = "0.2.0",
-    note = "use adn_core::algorithm::CentralizedGeneral with RunConfig::with_centralized(CentralizedConfig)"
-)]
-pub fn run_centralized_general(
-    initial: &Graph,
-    uids: &UidMap,
-    prune_to_tree: bool,
-) -> Result<TransformationOutcome, CoreError> {
-    let target = if prune_to_tree {
-        CentralizedConfig::PruneToTree
-    } else {
-        CentralizedConfig::LowDiameter
-    };
-    let mut network = Network::new(initial.clone());
-    execute_general(&mut network, uids, target, &RunConfig::default())
 }
 
 /// Executes the general centralized strategy on `network` (trait entry
@@ -301,16 +242,26 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrappers_still_work() {
+    fn registry_entry_points_run_both_strategies() {
         let g = generators::line(32);
-        let line: Vec<NodeId> = (0..32).map(NodeId).collect();
-        let cut = run_cut_in_half_on_line(&g, &line).unwrap();
-        assert!(cut.metrics.total_activations <= 32);
         let uids = UidMap::new(32, UidAssignment::Sequential);
-        let pruned = run_centralized_general(&g, &uids, true).unwrap();
+        let run = |id: &str, config: &RunConfig| {
+            crate::algorithm::find(id)
+                .expect("registered algorithm")
+                .run(&g, &uids, config)
+                .unwrap()
+        };
+        let cut = run("centralized_cut_in_half", &RunConfig::default());
+        assert!(cut.metrics.total_activations <= 32);
+        let pruned = run(
+            "centralized_general",
+            &RunConfig::default().with_centralized(CentralizedConfig::PruneToTree),
+        );
         assert!(adn_graph::properties::is_tree(&pruned.final_graph));
-        let loose = run_centralized_general(&g, &uids, false).unwrap();
+        let loose = run(
+            "centralized_general",
+            &RunConfig::default().with_centralized(CentralizedConfig::LowDiameter),
+        );
         assert!(loose.final_graph.edge_count() >= pruned.final_graph.edge_count());
     }
 

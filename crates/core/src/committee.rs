@@ -20,8 +20,10 @@
 //! byte-identically across the representations, which the stress replay
 //! gate (`report -- --replay <seed>`) checks end to end.
 
+use crate::algorithm::RunConfig;
+use crate::{CoreError, TransformationOutcome};
 use adn_graph::{Graph, NodeId, Uid, UidMap};
-use adn_sim::EdgeDelta;
+use adn_sim::{EdgeDelta, Network};
 
 /// Dense index of a committee slot in a [`CommitteeForest`] arena.
 ///
@@ -697,6 +699,93 @@ impl SelectionForest {
     /// The root of the selection tree containing `c`.
     pub fn root_of(&self, c: CommitteeId) -> CommitteeId {
         self.root[c.index()]
+    }
+}
+
+/// The input check shared by the committee engines: a non-empty,
+/// connected network with one UID per node.
+pub(crate) fn validate_input(
+    network: &Network,
+    uids: &UidMap,
+    algorithm: &str,
+) -> Result<(), CoreError> {
+    let n = network.node_count();
+    if n == 0 {
+        return Err(CoreError::InvalidInput {
+            reason: "the initial network must contain at least one node".into(),
+        });
+    }
+    if uids.len() != n {
+        return Err(CoreError::InvalidInput {
+            reason: "one UID per node is required".into(),
+        });
+    }
+    if !adn_graph::traversal::is_connected(network.graph()) {
+        return Err(CoreError::InvalidInput {
+            reason: format!("{algorithm} requires a connected initial network"),
+        });
+    }
+    Ok(())
+}
+
+/// Phase accounting shared by the committee engines, synchronous and
+/// actor-based alike: the phase counter, the per-phase committee census
+/// and the phase limit that turns a livelock into
+/// [`CoreError::DidNotConverge`].
+#[derive(Debug)]
+pub(crate) struct PhaseLedger {
+    algorithm: &'static str,
+    limit: usize,
+    phases: usize,
+    committees_per_phase: Vec<usize>,
+}
+
+impl PhaseLedger {
+    /// A ledger for `algorithm` allowing `limit` phases.
+    pub(crate) fn new(algorithm: &'static str, limit: usize) -> Self {
+        PhaseLedger {
+            algorithm,
+            limit,
+            phases: 0,
+            committees_per_phase: Vec::new(),
+        }
+    }
+
+    /// The phases counted so far.
+    pub(crate) fn phases(&self) -> usize {
+        self.phases
+    }
+
+    /// Opens a phase over `live` committees. Fails when the run's round
+    /// budget is spent or the phase limit is passed.
+    pub(crate) fn open(
+        &mut self,
+        run: &RunConfig,
+        network: &Network,
+        live: usize,
+    ) -> Result<(), CoreError> {
+        self.phases += 1;
+        run.check_round_budget(network)?;
+        if self.phases > self.limit {
+            return Err(CoreError::DidNotConverge {
+                algorithm: self.algorithm,
+                phase_limit: self.limit,
+            });
+        }
+        self.committees_per_phase.push(live);
+        Ok(())
+    }
+
+    /// Counts the termination phase, run by the last committee.
+    pub(crate) fn terminate(&mut self) {
+        self.phases += 1;
+        self.committees_per_phase.push(1);
+    }
+
+    /// Writes the phase count and the census into `outcome`.
+    pub(crate) fn record(self, outcome: &mut TransformationOutcome) {
+        outcome.phases = self.phases;
+        outcome.committees_per_phase = self.committees_per_phase;
     }
 }
 

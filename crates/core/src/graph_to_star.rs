@@ -17,14 +17,16 @@
 //! maximum degree at the star centre.
 
 use crate::algorithm::RunConfig;
-use crate::committee::{CommitteeForest, CommitteeId, IncrementalAdjacency};
+use crate::committee::{
+    validate_input, CommitteeForest, CommitteeId, IncrementalAdjacency, PhaseLedger,
+};
 use crate::{CoreError, TransformationOutcome};
 use adn_graph::{Edge, Graph, NodeId, UidMap};
 use adn_sim::Network;
 
 /// The mode a committee executes in during a phase (Section 3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Mode {
+pub(crate) enum Mode {
     /// Looking for a larger neighbouring committee to join.
     Selection,
     /// Merging into the committee led by the given node in this phase.
@@ -54,18 +56,8 @@ fn invariant_error(detail: String) -> CoreError {
     }
 }
 
-/// Result of the selection step of a phase.
-#[derive(Debug, Clone)]
-struct Selection {
-    selector: CommitteeId,
-    target: CommitteeId,
-    /// Bridge nodes: `x` in the selector committee adjacent to `y` in the
-    /// target committee.
-    bridge_x: NodeId,
-    bridge_y: NodeId,
-}
-
-/// Runs GraphToStar on `initial` with the given UID assignment.
+/// Executes GraphToStar on `network` (trait entry point; see
+/// [`crate::algorithm::GraphToStar`]).
 ///
 /// # Errors
 ///
@@ -73,45 +65,17 @@ struct Selection {
 ///   networks.
 /// * [`CoreError::DidNotConverge`] / [`CoreError::Sim`] on implementation
 ///   bugs (the algorithm is deterministic and proven to terminate).
-#[deprecated(
-    since = "0.2.0",
-    note = "use adn_core::algorithm::GraphToStar (ReconfigurationAlgorithm) or the Experiment builder"
-)]
-pub fn run_graph_to_star(
-    initial: &Graph,
-    uids: &UidMap,
-) -> Result<TransformationOutcome, CoreError> {
-    let mut network = Network::new(initial.clone());
-    execute(&mut network, uids, &RunConfig::traced())
-}
-
-/// Executes GraphToStar on `network` (trait entry point; see
-/// [`crate::algorithm::GraphToStar`]).
 pub(crate) fn execute(
     network: &mut Network,
     uids: &UidMap,
     config: &RunConfig,
 ) -> Result<TransformationOutcome, CoreError> {
-    let initial = network.graph().clone();
-    let n = initial.node_count();
-    if n == 0 {
-        return Err(CoreError::InvalidInput {
-            reason: "the initial network must contain at least one node".into(),
-        });
-    }
-    if uids.len() != n {
-        return Err(CoreError::InvalidInput {
-            reason: "one UID per node is required".into(),
-        });
-    }
-    if !adn_graph::traversal::is_connected(&initial) {
-        return Err(CoreError::InvalidInput {
-            reason: "GraphToStar requires a connected initial network".into(),
-        });
-    }
+    validate_input(network, uids, "GraphToStar")?;
     if !config.engine.is_synchronous() {
         return crate::subroutines::runtime_committee::run_runtime_star(network, uids, config);
     }
+    let initial = network.graph().clone();
+    let n = initial.node_count();
 
     network.set_trace_enabled(config.trace.is_per_round());
     // The incremental adjacency consumes the committee tap of the
@@ -136,20 +100,10 @@ fn run_phases(
     n: usize,
 ) -> Result<TransformationOutcome, CoreError> {
     let mut state = State::new(initial);
-    let mut committees_per_phase = Vec::new();
-    let mut phases = 0usize;
-    let phase_limit = 40 * adn_graph::properties::ceil_log2(n.max(2)) + 80;
+    let mut ledger = phase_ledger(n);
 
     while state.forest.live_count() > 1 {
-        phases += 1;
-        config.check_round_budget(network)?;
-        if phases > phase_limit {
-            return Err(CoreError::DidNotConverge {
-                algorithm: "GraphToStar",
-                phase_limit,
-            });
-        }
-        committees_per_phase.push(state.forest.live_count());
+        ledger.open(config, network, state.forest.live_count())?;
         network.note_groups_alive(state.forest.live_count());
         state.run_phase(network, uids)?;
     }
@@ -169,16 +123,22 @@ fn run_phases(
         // The paper charges 2 rounds for the termination phase (detection +
         // clean-up); charge the detection round explicitly.
         network.advance_idle_rounds(1);
-        phases += 1;
-        committees_per_phase.push(1);
+        ledger.terminate();
     }
 
     config.check_round_budget(network)?;
     debug_assert_eq!(Some(leader), uids.max_uid_node());
     let mut outcome = TransformationOutcome::from_network(leader, network);
-    outcome.phases = phases;
-    outcome.committees_per_phase = committees_per_phase;
+    ledger.record(&mut outcome);
     Ok(outcome)
+}
+
+/// The phase accounting of GraphToStar on `n` nodes, for both engines.
+pub(crate) fn phase_ledger(n: usize) -> PhaseLedger {
+    PhaseLedger::new(
+        "GraphToStar",
+        40 * adn_graph::properties::ceil_log2(n.max(2)) + 80,
+    )
 }
 
 struct State {
@@ -215,14 +175,17 @@ impl State {
             .adjacency
             .refresh(&self.forest, network.graph(), &deltas);
         let start_mode: Vec<Mode> = self.mode.clone();
-        let slots = self.forest.slot_count();
 
         // ------------------------------------------------------------------
-        // 1. Selection decisions (no edge operations yet).
+        // 1. Selection, with its round-A edge operation: the selector's
+        //    leader connects towards the target committee (helper edge e1,
+        //    or directly the leader-leader edge when it is already at
+        //    distance <= 2). `pending_b` collects the round-B second hops.
         // ------------------------------------------------------------------
-        let mut selections: Vec<Selection> = Vec::new();
-        let mut did_select = vec![false; slots];
-        let mut selected_by = vec![false; slots];
+        let mut selections: Vec<(CommitteeId, CommitteeId)> = Vec::new();
+        let mut pending_b: Vec<PendingHop> = Vec::new();
+        let mut wave_acts: Vec<adn_sim::WaveActivation> = Vec::new();
+        let mut wave_drops: Vec<Edge> = Vec::new();
         for &cid in self.forest.live_ids() {
             if self.mode[cid.index()] != Mode::Selection {
                 continue;
@@ -235,33 +198,12 @@ impl State {
                     Mode::Pulling { .. } | Mode::Merging { .. }
                 )
             });
-            if let Some((target, x, y)) = candidate {
-                did_select[cid.index()] = true;
-                selected_by[target.index()] = true;
-                selections.push(Selection {
-                    selector: cid,
-                    target,
-                    bridge_x: x,
-                    bridge_y: y,
-                });
-            }
-        }
-
-        // ------------------------------------------------------------------
-        // 2. Edge operations: round A then round B.
-        // ------------------------------------------------------------------
-        // Selection round A: the selector's leader connects towards the
-        // target committee (helper edge e1, or directly the leader-leader
-        // edge when it is already at distance <= 2). `pending_b` collects
-        // the round-B second hops.
-        let mut pending_b: Vec<PendingHop> = Vec::new();
-        let mut wave_acts: Vec<adn_sim::WaveActivation> = Vec::new();
-        let mut wave_drops: Vec<Edge> = Vec::new();
-        for sel in &selections {
-            let u = self.forest.leader(sel.selector);
-            let v = self.forest.leader(sel.target);
-            let x = sel.bridge_x;
-            let y = sel.bridge_y;
+            let Some((target, x, y)) = candidate else {
+                continue;
+            };
+            selections.push((cid, target));
+            let u = self.forest.leader(cid);
+            let v = self.forest.leader(target);
             if network.graph().has_edge(u, v) {
                 // Already adjacent (for example both singletons joined by an
                 // initial edge): nothing to activate.
@@ -288,6 +230,9 @@ impl State {
             pending_b.push((u, v, Some((u, y))));
         }
 
+        // ------------------------------------------------------------------
+        // 2. The rest of round A, then round B.
+        // ------------------------------------------------------------------
         // Merging committees: every member joins the target leader's star.
         let mut merges: Vec<(CommitteeId, CommitteeId)> = Vec::new(); // (dying, absorbing)
         for &cid in self.forest.live_ids() {
@@ -395,83 +340,98 @@ impl State {
         }
 
         // ------------------------------------------------------------------
-        // 3. Apply merges to the committee structure.
+        // 3. Merges and mode transitions for the next phase.
         // ------------------------------------------------------------------
-        for &(dying, absorbing) in &merges {
-            self.forest.absorb(dying, absorbing);
-        }
-
-        // ------------------------------------------------------------------
-        // 4. Mode transitions for the next phase.
-        // ------------------------------------------------------------------
-        // Pulling committees first (their new attach nodes were computed
-        // above). If the attach node is now the leader of a root committee
-        // (waiting / back in selection), we merge into it next phase;
-        // otherwise we keep pulling.
-        for (cid, new_attach) in climbs {
-            let attach_cid = self
-                .forest
-                .committee_of(new_attach)
-                .ok_or_else(|| invariant_error(format!("attach node {new_attach} is untracked")))?;
-            let attach_is_root_leader = new_attach == self.forest.leader(attach_cid)
-                && matches!(
-                    self.mode[attach_cid.index()],
-                    Mode::Waiting | Mode::Selection
-                );
-            self.mode[cid.index()] = if attach_is_root_leader {
-                Mode::Merging { into: new_attach }
-            } else {
-                Mode::Pulling { attach: new_attach }
-            };
-        }
-
-        // Selector committees.
-        for sel in &selections {
-            let target_selected = did_select[sel.target.index()];
-            let target_leader = self.forest.leader(sel.target);
-            self.mode[sel.selector.index()] = if target_selected {
-                Mode::Pulling {
-                    attach: target_leader,
-                }
-            } else {
-                Mode::Merging {
-                    into: target_leader,
-                }
-            };
-        }
-
-        // Committees that did not select: Waiting / Selection transitions.
-        let mut has_children = vec![false; slots];
-        for &cid in self.forest.live_ids() {
-            let parent = match self.mode[cid.index()] {
-                Mode::Merging { into } => Some(into),
-                Mode::Pulling { attach } => Some(attach),
-                _ => None,
-            };
-            if let Some(p) = parent {
-                let pc = self
-                    .forest
-                    .committee_of(p)
-                    .ok_or_else(|| invariant_error(format!("parent node {p} is untracked")))?;
-                has_children[pc.index()] = true;
-            }
-        }
-        for &cid in self.forest.live_ids() {
-            match self.mode[cid.index()] {
-                Mode::Merging { .. } | Mode::Pulling { .. } => {}
-                Mode::Selection | Mode::Waiting => {
-                    self.mode[cid.index()] =
-                        if selected_by[cid.index()] || has_children[cid.index()] {
-                            Mode::Waiting
-                        } else {
-                            Mode::Selection
-                        };
-                }
-            }
-        }
-
-        Ok(())
+        end_phase(
+            &mut self.forest,
+            &mut self.mode,
+            &selections,
+            &merges,
+            &climbs,
+        )
     }
+}
+
+/// The end of a GraphToStar phase, shared by the synchronous engine and
+/// the actor engine ([`crate::subroutines::runtime_committee`]): absorb
+/// the merging committees, then move every committee to its next mode.
+/// `selections` are this phase's `(selector, target)` pairs, `merges` the
+/// `(dying, absorbing)` pairs of the committees in merging mode, and
+/// `climbs` the new attach node of every committee in pulling mode.
+pub(crate) fn end_phase(
+    forest: &mut CommitteeForest,
+    mode: &mut [Mode],
+    selections: &[(CommitteeId, CommitteeId)],
+    merges: &[(CommitteeId, CommitteeId)],
+    climbs: &[(CommitteeId, NodeId)],
+) -> Result<(), CoreError> {
+    let slots = forest.slot_count();
+    let mut did_select = vec![false; slots];
+    let mut selected_by = vec![false; slots];
+    for &(selector, target) in selections {
+        did_select[selector.index()] = true;
+        selected_by[target.index()] = true;
+    }
+
+    for &(dying, absorbing) in merges {
+        forest.absorb(dying, absorbing);
+    }
+
+    // Pulling committees first. If the new attach node is the leader of a
+    // root committee (waiting / back in selection), we merge into it next
+    // phase; otherwise we keep pulling.
+    for &(cid, new_attach) in climbs {
+        let attach_cid = forest
+            .committee_of(new_attach)
+            .ok_or_else(|| invariant_error(format!("attach node {new_attach} is untracked")))?;
+        let attach_is_root_leader = new_attach == forest.leader(attach_cid)
+            && matches!(mode[attach_cid.index()], Mode::Waiting | Mode::Selection);
+        mode[cid.index()] = if attach_is_root_leader {
+            Mode::Merging { into: new_attach }
+        } else {
+            Mode::Pulling { attach: new_attach }
+        };
+    }
+
+    // Selector committees: pull when the target selected too, else merge.
+    for &(selector, target) in selections {
+        let target_leader = forest.leader(target);
+        mode[selector.index()] = if did_select[target.index()] {
+            Mode::Pulling {
+                attach: target_leader,
+            }
+        } else {
+            Mode::Merging {
+                into: target_leader,
+            }
+        };
+    }
+
+    // Committees that did not select: Waiting / Selection transitions.
+    let mut has_children = vec![false; slots];
+    for &cid in forest.live_ids() {
+        let parent = match mode[cid.index()] {
+            Mode::Merging { into } => Some(into),
+            Mode::Pulling { attach } => Some(attach),
+            _ => None,
+        };
+        if let Some(p) = parent {
+            let pc = forest
+                .committee_of(p)
+                .ok_or_else(|| invariant_error(format!("parent node {p} is untracked")))?;
+            has_children[pc.index()] = true;
+        }
+    }
+    for &cid in forest.live_ids() {
+        if matches!(mode[cid.index()], Mode::Selection | Mode::Waiting) {
+            mode[cid.index()] = if selected_by[cid.index()] || has_children[cid.index()] {
+                Mode::Waiting
+            } else {
+                Mode::Selection
+            };
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -631,17 +591,6 @@ mod tests {
             run_on(&generators::line(6), &uids),
             Err(CoreError::InvalidInput { .. })
         ));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrapper_still_works() {
-        let g = generators::ring(12);
-        let uids = UidMap::new(12, UidAssignment::Sequential);
-        let outcome = run_graph_to_star(&g, &uids).unwrap();
-        check_outcome(&g, &uids, &outcome);
-        // The wrapper preserves the old always-traced behaviour.
-        assert!(!outcome.trace.is_empty());
     }
 
     #[test]

@@ -21,20 +21,25 @@
 //! degree). All of these are verified by the tests and regenerated by the
 //! benchmark harness (experiment T2).
 //!
-//! The same engine, instantiated with a polylogarithmic tree arity, yields
+//! A phase is planned once, by the `WreathPlanner` below, and executed
+//! by two engines: the lock-step rounds of this module and the actor
+//! mini-phases of [`crate::subroutines::runtime_committee`]. The same
+//! engines, instantiated with a polylogarithmic tree arity, yield
 //! [`crate::graph_to_thin_wreath`] (Section 5).
 
 use crate::algorithm::RunConfig;
-use crate::committee::{CommitteeForest, CommitteeId, IncrementalAdjacency, SelectionForest};
-use crate::subroutines::async_line_to_tree::{
-    run_async_line_to_tree_with_scratch, AsyncLineConfig,
+use crate::committee::{
+    validate_input, CommitteeForest, CommitteeId, IncrementalAdjacency, PhaseLedger,
+    SelectionForest,
 };
-use crate::subroutines::LineScratch;
+use crate::subroutines::line_to_tree::{
+    run_async_line_to_tree_with_scratch, LineScratch, LineToTreeConfig,
+};
 use crate::{CoreError, TransformationOutcome};
 use adn_graph::edgeset::SortedEdgeSet;
 use adn_graph::properties::ceil_log2;
-use adn_graph::{Edge, Graph, NodeId, UidMap};
-use adn_sim::Network;
+use adn_graph::{Edge, Graph, NodeId, RootedTree, UidMap};
+use adn_sim::{Network, WaveActivation};
 
 /// Parameters distinguishing the wreath-family algorithms.
 #[derive(Debug, Clone)]
@@ -71,6 +76,12 @@ impl WreathConfig {
             charge_communication: true,
         }
     }
+
+    /// The phase accounting of this algorithm on `n` nodes, for both
+    /// engines.
+    pub(crate) fn phase_ledger(&self, n: usize) -> PhaseLedger {
+        PhaseLedger::new(self.name, 20 * ceil_log2(n.max(2)) + 40)
+    }
 }
 
 /// The predecessor (counter-clockwise neighbour) of position `i` on a
@@ -93,452 +104,370 @@ fn invariant_error(algorithm: &'static str, detail: String) -> CoreError {
     CoreError::BrokenInvariant { algorithm, detail }
 }
 
-/// Runs GraphToWreath on `initial`.
-///
-/// # Errors
-///
-/// * [`CoreError::InvalidInput`] for empty/disconnected inputs.
-/// * [`CoreError::DidNotConverge`] / [`CoreError::Sim`] on bugs.
-#[deprecated(
-    since = "0.2.0",
-    note = "use adn_core::algorithm::GraphToWreath (ReconfigurationAlgorithm) or the Experiment builder"
-)]
-pub fn run_graph_to_wreath(
-    initial: &Graph,
-    uids: &UidMap,
-) -> Result<TransformationOutcome, CoreError> {
-    let mut network = Network::new(initial.clone());
-    execute(
-        &mut network,
-        uids,
-        &WreathConfig::binary(),
-        &RunConfig::default(),
-    )
+/// A committee's selection in one phase: the target committee, the bridge
+/// node `x` in the selecting committee and its neighbour `y` in the
+/// target.
+pub(crate) type WreathChoice = (CommitteeId, NodeId, NodeId);
+
+/// The edge operations of one splice level, planned by
+/// [`WreathPlanner::next_level`] and executed as two rounds: round A
+/// (helpers and singleton-root closing edges), round B (the remaining new
+/// ring edges plus the clean-up). Activations carry their distance-2
+/// witness as `(initiator, target, witness)`.
+#[derive(Debug, Default)]
+pub(crate) struct SpliceLevel {
+    round_a: Vec<(NodeId, NodeId, NodeId)>,
+    round_b: Vec<(NodeId, NodeId, NodeId)>,
+    helpers: Vec<(NodeId, NodeId, NodeId)>,
+    deactivate: Vec<(NodeId, NodeId)>,
 }
 
-/// Runs the shared wreath engine with an explicit configuration.
-///
-/// # Errors
-///
-/// As [`run_graph_to_wreath`].
-#[deprecated(
-    since = "0.2.0",
-    note = "use adn_core::algorithm::{GraphToWreath, GraphToThinWreath} with RunConfig::with_wreath"
-)]
-pub fn run_wreath_family(
-    initial: &Graph,
-    uids: &UidMap,
-    config: &WreathConfig,
-) -> Result<TransformationOutcome, CoreError> {
-    let mut network = Network::new(initial.clone());
-    execute(&mut network, uids, config, &RunConfig::default())
+impl SpliceLevel {
+    /// Round A's activations that are not already active in `graph` (the
+    /// snapshot before the level).
+    pub(crate) fn round_a<'a>(
+        &'a self,
+        graph: &'a Graph,
+    ) -> impl Iterator<Item = WaveActivation> + 'a {
+        missing(self.round_a.iter().chain(&self.helpers), graph)
+    }
+
+    /// Round B's activations that are not already active in `graph` (the
+    /// snapshot after round A).
+    pub(crate) fn round_b<'a>(
+        &'a self,
+        graph: &'a Graph,
+    ) -> impl Iterator<Item = WaveActivation> + 'a {
+        missing(self.round_b.iter(), graph)
+    }
+
+    /// Round B's deactivations as `(initiator, peer)` pairs: helper edges
+    /// that are not initial edges and are still active in `graph` (those
+    /// that coincided with an existing bridge stay), then the replaced
+    /// ring edges that are not initial edges.
+    pub(crate) fn round_b_drops<'a>(
+        &'a self,
+        graph: &'a Graph,
+        initial: &'a Graph,
+    ) -> impl Iterator<Item = (NodeId, NodeId)> + 'a {
+        let helpers = self
+            .helpers
+            .iter()
+            .map(|&(a, b, _)| (a, b))
+            .filter(move |&(a, b)| !initial.has_edge(a, b) && graph.has_edge(a, b));
+        let replaced = self
+            .deactivate
+            .iter()
+            .copied()
+            .filter(move |&(a, b)| !initial.has_edge(a, b));
+        helpers.chain(replaced)
+    }
 }
 
-/// Executes the shared wreath engine on `network` (trait entry point used
-/// by both [`crate::algorithm::GraphToWreath`] and
-/// [`crate::algorithm::GraphToThinWreath`]).
-pub(crate) fn execute(
-    network: &mut Network,
-    uids: &UidMap,
-    config: &WreathConfig,
-    run: &RunConfig,
-) -> Result<TransformationOutcome, CoreError> {
-    let initial = network.graph().clone();
-    let initial = &initial;
-    let n = initial.node_count();
-    if n == 0 {
-        return Err(CoreError::InvalidInput {
-            reason: "the initial network must contain at least one node".into(),
-        });
-    }
-    if uids.len() != n {
-        return Err(CoreError::InvalidInput {
-            reason: "one UID per node is required".into(),
-        });
-    }
-    if !adn_graph::traversal::is_connected(initial) {
-        return Err(CoreError::InvalidInput {
-            reason: format!("{} requires a connected initial network", config.name),
-        });
-    }
-    if !run.engine.is_synchronous() {
-        return crate::subroutines::runtime_committee::run_runtime_wreath(
-            network, uids, config, run,
-        );
-    }
-
-    network.set_trace_enabled(run.trace.is_per_round());
-    // The delta-driven committee adjacency consumes the committee tap
-    // of the network's round-event bus. The tap is armed before the
-    // first operation so no delta is missed, and disarmed on *every*
-    // exit path — error returns included — so a caller's network is
-    // never left accumulating deltas.
-    network.set_edge_delta_tracking(true);
-    let result = run_phases(network, uids, config, run, initial, n);
-    network.set_edge_delta_tracking(false);
-    result
+/// The planned activations that are real edge changes in `graph`.
+fn missing<'a>(
+    planned: impl Iterator<Item = &'a (NodeId, NodeId, NodeId)> + 'a,
+    graph: &'a Graph,
+) -> impl Iterator<Item = WaveActivation> + 'a {
+    planned
+        .filter(move |&&(a, b, _)| a != b && !graph.has_edge(a, b))
+        .map(|&(initiator, target, witness)| WaveActivation {
+            initiator,
+            target,
+            witness,
+        })
 }
 
-/// The phase loop of [`execute`], split out so the edge-delta hook is
-/// disarmed on every exit path (the engine's `run_rounds` discipline).
-fn run_phases(
-    network: &mut Network,
-    uids: &UidMap,
-    config: &WreathConfig,
-    run: &RunConfig,
-    initial: &Graph,
-    n: usize,
-) -> Result<TransformationOutcome, CoreError> {
-    // The arena-backed committee partition: forest membership plus the
-    // per-slot wreath payload (spanning-tree edges and depth) as parallel
-    // columns. Member lists hold the committee ring order, starting at the
-    // leader; leaders never migrate between slots, so ascending slot order
-    // is ascending leader order (the old `BTreeMap` iteration order).
-    let mut forest = CommitteeForest::singletons(n);
-    let mut adjacency_tracker = IncrementalAdjacency::new(&forest, initial);
-    let mut tree_edges: Vec<Vec<Edge>> = vec![Vec::new(); n];
-    let mut tree_depth: Vec<usize> = vec![0usize; n];
-    let mut committees_per_phase = Vec::new();
-    let mut phases = 0usize;
-    let phase_limit = 20 * ceil_log2(n.max(2)) + 40;
+/// The wreath phase planner shared by the synchronous engine
+/// ([`run_phases`]) and the actor engine
+/// ([`crate::subroutines::runtime_committee`]): the committee partition,
+/// every committee's wreath (its ring as the forest's member order, its
+/// spanning tree), and the per-phase merge plan. The engines only differ
+/// in how they execute the planned operations — lock-step rounds or
+/// message-driven actors between barriers.
+///
+/// A phase is planned in this order: [`select`](Self::select) records the
+/// selections and seeds the rings to merge; [`next_level`](Self::next_level)
+/// plans one BFS level of ring splices per call until it returns `None`;
+/// [`close_rings`](Self::close_rings) materialises the merged rings and
+/// lists the stale tree edges to drop; [`rebuild_trees`](Self::rebuild_trees)
+/// installs a tree over every merged ring and retires the committees that
+/// merged away.
+pub(crate) struct WreathPlanner {
+    name: &'static str,
+    arity: usize,
+    /// The arena-backed committee partition. Member lists hold the
+    /// committee ring order, starting at the leader; leaders never migrate
+    /// between slots, so ascending slot order is ascending leader order.
+    forest: CommitteeForest,
+    /// Per-slot spanning-tree edges and depth, parallel to the arena.
+    tree_edges: Vec<Vec<Edge>>,
+    tree_depth: Vec<usize>,
+    /// Rings under construction as successor pointers (rings are
+    /// node-disjoint, so one column serves every root simultaneously),
+    /// with per-node `(epoch, root)` marks for clean membership checks, a
+    /// per-slot ring length and per-slot buffers for the materialised
+    /// rings. Allocated once and reused across phases.
+    ring_succ: Vec<NodeId>,
+    ring_mark: Vec<(u64, CommitteeId)>,
+    ring_len: Vec<usize>,
+    merged_line: Vec<Vec<NodeId>>,
+    epoch: u64,
+    /// This phase's selections, per slot.
+    selected: Vec<Option<WreathChoice>>,
+    sel: SelectionForest,
+    /// The committees whose children form the next splice level.
+    frontier: Vec<CommitteeId>,
+    /// Old tree edges of every committee taking part in a merge.
+    stale_tree_edges: Vec<Edge>,
+    merged_any: bool,
+}
 
-    // Linked-ring splice state, allocated once and reused across phases:
-    // rings under construction live as successor pointers (rings are
-    // node-disjoint, so one column serves every root simultaneously),
-    // with per-node (epoch, root) marks for clean membership checks, a
-    // per-slot ring length, and per-slot buffers for the materialized
-    // rings. The line-to-tree scratch memoises jump schedules and
-    // recycles the subroutine's positional state across merges.
-    let mut ring_succ: Vec<NodeId> = (0..n).map(NodeId).collect();
-    let mut ring_mark: Vec<(u64, CommitteeId)> = vec![(0, CommitteeId(0)); n];
-    let mut ring_len: Vec<usize> = vec![0usize; n];
-    let mut merged_line: Vec<Vec<NodeId>> = vec![Vec::new(); n];
-    let mut epoch: u64 = 0;
-    let mut line_scratch = LineScratch::new();
-
-    while forest.live_count() > 1 {
-        phases += 1;
-        run.check_round_budget(network)?;
-        if phases > phase_limit {
-            return Err(CoreError::DidNotConverge {
-                algorithm: config.name,
-                phase_limit,
-            });
+impl WreathPlanner {
+    /// A planner over `n` singleton committees.
+    pub(crate) fn new(config: &WreathConfig, n: usize) -> Self {
+        let forest = CommitteeForest::singletons(n);
+        let sel = SelectionForest::new(&forest, &[]);
+        WreathPlanner {
+            name: config.name,
+            arity: config.tree_arity,
+            forest,
+            tree_edges: vec![Vec::new(); n],
+            tree_depth: vec![0; n],
+            ring_succ: (0..n).map(NodeId).collect(),
+            ring_mark: vec![(0, CommitteeId(0)); n],
+            ring_len: vec![0; n],
+            merged_line: vec![Vec::new(); n],
+            epoch: 0,
+            selected: Vec::new(),
+            sel,
+            frontier: Vec::new(),
+            stale_tree_edges: Vec::new(),
+            merged_any: false,
         }
-        committees_per_phase.push(forest.live_count());
-        network.note_groups_alive(forest.live_count());
+    }
 
-        // ------------------------------------------------------------------
-        // Selection: every committee picks its largest-UID strictly-larger
-        // neighbour over the shared committee-adjacency (flat rows, same
-        // smallest-bridge semantics as the old nested maps). The selection
-        // edges form a forest whose roots are the locally-maximal
-        // committees.
-        // ------------------------------------------------------------------
-        let deltas = network.take_edge_deltas();
-        let adjacency = adjacency_tracker.refresh(&forest, network.graph(), &deltas);
+    /// The current committee partition.
+    pub(crate) fn forest(&self) -> &CommitteeForest {
+        &self.forest
+    }
 
-        // selected[c] = (target committee, bridge x in c, bridge y in target)
-        let slots = forest.slot_count();
-        let mut selected: Vec<Option<(CommitteeId, NodeId, NodeId)>> = vec![None; slots];
+    /// The deepest spanning tree among the live committees.
+    pub(crate) fn max_tree_depth(&self) -> usize {
+        self.forest
+            .live_ids()
+            .iter()
+            .map(|c| self.tree_depth[c.index()])
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// Records every live committee's selection, as returned by `choose`.
+    /// Returns `false` when no committee selected. Otherwise builds the
+    /// selection forest and seeds the ring of every root that others
+    /// merge into.
+    pub(crate) fn select<F>(&mut self, mut choose: F) -> Result<bool, CoreError>
+    where
+        F: FnMut(&CommitteeForest, CommitteeId) -> Result<Option<WreathChoice>, CoreError>,
+    {
+        self.selected.clear();
+        self.selected.resize(self.forest.slot_count(), None);
         let mut sel_edges: Vec<(CommitteeId, CommitteeId)> = Vec::new();
-        for &cid in forest.live_ids() {
-            if let Some(choice) =
-                adjacency.select_largest_uid_neighbor(cid, &forest, uids, |_| true)
-            {
-                selected[cid.index()] = Some(choice);
+        for &cid in self.forest.live_ids() {
+            if let Some(choice) = choose(&self.forest, cid)? {
+                self.selected[cid.index()] = Some(choice);
                 sel_edges.push((cid, choice.0));
             }
         }
-
-        // Communication charge: the selection requires each committee to
-        // gather neighbour information and coordinate, which costs a
-        // constant number of sweeps of its own tree (Appendix B bounds it
-        // by 4·log n). We charge 2·(max tree depth involved) + 2 idle
-        // rounds for the whole phase.
-        if config.charge_communication {
-            let max_depth = forest
-                .live_ids()
-                .iter()
-                .map(|c| tree_depth[c.index()])
-                .max()
-                .unwrap_or(0);
-            network.advance_idle_rounds(2 * max_depth + 2);
-        }
-
         if sel_edges.is_empty() {
-            // No committee found a larger neighbour other than through
-            // committees currently unavailable; with a connected network
-            // this cannot persist, but charge a round and retry.
-            network.advance_idle_rounds(1);
-            continue;
+            return Ok(false);
         }
-
-        // The selection forest: children lists, roots and the root of
-        // every tree, resolved once (incremental root maintenance instead
-        // of per-query pointer chasing).
-        let sel = SelectionForest::new(&forest, &sel_edges);
-
-        // ------------------------------------------------------------------
-        // Ring merging: every selection tree merges into its root. Children
-        // are spliced level by level (BFS order from the root); splices of
-        // the same level execute in the same pair of rounds, exactly as in
-        // the appendix's chained construction. Conflicting splices (sharing
-        // an insertion edge) are chained behind each other.
-        //
-        // The rings under construction are successor maps, not vectors: a
-        // group splice links the child segments between the attach node
-        // and its successor in O(segment) pointer writes — batching every
-        // splice level of the phase into one deferred ring rebuild — and
-        // each merged ring is materialized once after the last level. The
-        // edge-operation schedule is untouched by the representation
-        // (verified byte-identical on the full stress sweep).
-        // ------------------------------------------------------------------
-        epoch += 1;
-        for &r in sel.roots() {
-            if !sel.has_children(r) {
+        self.sel = SelectionForest::new(&self.forest, &sel_edges);
+        self.epoch += 1;
+        for &r in self.sel.roots() {
+            if !self.sel.has_children(r) {
                 // Untouched committee: never spliced, never rebuilt.
                 continue;
             }
-            let members = forest.members(r);
+            let members = self.forest.members(r);
             for w in members.windows(2) {
-                ring_succ[w[0].index()] = w[1];
+                self.ring_succ[w[0].index()] = w[1];
             }
-            ring_succ[members[members.len() - 1].index()] = members[0];
+            self.ring_succ[members[members.len() - 1].index()] = members[0];
             for &u in members {
-                ring_mark[u.index()] = (epoch, r);
+                self.ring_mark[u.index()] = (self.epoch, r);
             }
-            ring_len[r.index()] = members.len();
+            self.ring_len[r.index()] = members.len();
         }
-        // Old tree edges of every committee that participates in a merge
-        // (they are deactivated and rebuilt).
-        let mut stale_tree_edges: Vec<Edge> = Vec::new();
-        let mut merged_any = false;
+        self.stale_tree_edges.clear();
+        self.merged_any = false;
+        self.frontier.clear();
+        self.frontier.extend_from_slice(self.sel.roots());
+        Ok(true)
+    }
 
-        // BFS levels over each selection tree.
-        let mut frontier: Vec<CommitteeId> = sel.roots().to_vec();
-        while !frontier.is_empty() {
-            // Children of the current frontier, grouped by (root, attach node y).
-            let mut level: Vec<(CommitteeId, CommitteeId, NodeId, NodeId)> = Vec::new(); // (root, child, x, y)
-            for &p in &frontier {
-                for &c in sel.children(p) {
-                    let (_, x, y) = selected[c.index()].ok_or_else(|| {
-                        invariant_error(
-                            config.name,
-                            format!("committee {c} has a parent but no recorded selection"),
-                        )
-                    })?;
-                    level.push((sel.root_of(p), c, x, y));
-                }
+    /// Plans the next BFS level of ring splices, or returns `None` when
+    /// every selection tree is spliced. Splices of one level execute in
+    /// the same pair of rounds, exactly as in the appendix's chained
+    /// construction: the children of a level are grouped by `(root,
+    /// attach node y)` and chained one after the other between `y` and
+    /// its ring successor. A group splice links the child segments in
+    /// O(segment) pointer writes; the merged rings are materialised once,
+    /// by [`close_rings`](Self::close_rings).
+    pub(crate) fn next_level(&mut self) -> Result<Option<SpliceLevel>, CoreError> {
+        // (root, child, bridge x, attach y)
+        let mut level: Vec<(CommitteeId, CommitteeId, NodeId, NodeId)> = Vec::new();
+        for &p in &self.frontier {
+            for &c in self.sel.children(p) {
+                let (_, x, y) = self.selected[c.index()].ok_or_else(|| {
+                    invariant_error(
+                        self.name,
+                        format!("committee {c} has a parent but no recorded selection"),
+                    )
+                })?;
+                level.push((self.sel.root_of(p), c, x, y));
             }
-            if level.is_empty() {
-                break;
+        }
+        if level.is_empty() {
+            return Ok(None);
+        }
+        self.merged_any = true;
+        self.frontier.clear();
+        self.frontier.extend(level.iter().map(|&(_, c, _, _)| c));
+        // The stable sort preserves the in-level order within every group,
+        // and groups come out ascending by (root, y).
+        level.sort_by_key(|&(root, _, _, y)| (root, y));
+
+        let mut ops = SpliceLevel::default();
+        let mut g = 0usize;
+        while g < level.len() {
+            let (root, _, _, y) = level[g];
+            let mut g_end = g + 1;
+            while g_end < level.len() && level[g_end].0 == root && level[g_end].3 == y {
+                g_end += 1;
             }
-            merged_any = true;
-
-            // Plan the splices of this level: group by (root, y) and chain
-            // the members of a group one after the other. The stable sort
-            // preserves the in-level order within every group, and groups
-            // come out ascending by (root, y) — the old `BTreeMap` group
-            // order.
-            let mut grouped = level.clone();
-            grouped.sort_by_key(|&(root, _, _, y)| (root, y));
-
-            // Planned edges carry their distance-2 witness (third field)
-            // so the execution rounds can stage them as probe-only waves.
-            let mut round_a: Vec<(NodeId, NodeId, NodeId)> = Vec::new();
-            let mut round_b: Vec<(NodeId, NodeId, NodeId)> = Vec::new();
-            let mut helpers: Vec<(NodeId, NodeId, NodeId)> = Vec::new();
-            let mut deactivate: Vec<(NodeId, NodeId)> = Vec::new();
-
-            let mut g = 0usize;
-            while g < grouped.len() {
-                let (root, _, _, y) = grouped[g];
-                let mut g_end = g + 1;
-                while g_end < grouped.len() && grouped[g_end].0 == root && grouped[g_end].3 == y {
-                    g_end += 1;
-                }
-                let group = &grouped[g..g_end];
-                g = g_end;
-                // The attach node was spliced into this root's ring at an
-                // earlier level (or belongs to the root itself).
-                if ring_mark[y.index()] != (epoch, root) {
-                    return Err(invariant_error(
-                        config.name,
-                        format!("attach node {y} is not on the merged ring of {root}"),
-                    ));
-                }
-                let succ_after_y = ring_succ[y.index()];
-                let len_before = ring_len[root.index()];
-                // Link in the rings of all children of this group, each
-                // starting at its bridge node x, chained one after the
-                // other between y and y's old successor.
-                let mut prev_end: NodeId = y;
-                // Bridge node of the previously spliced child: `prev_end`
-                // is the last node of that child's rotated ring, so its
-                // bridge is adjacent to both `prev_end` (ring edge, not
-                // yet cut) and `y` (initial bridge edge) — the witness for
-                // every chained helper edge.
-                let mut prev_x: NodeId = y;
-                let mut segment_len = 0usize;
-                for &(_, child, x, _) in group {
-                    let child_ring = forest.members(child);
-                    let x_pos = position_of(child_ring, x).ok_or_else(|| {
-                        invariant_error(
-                            config.name,
-                            format!("bridge node {x} is not on the ring of committee {child}"),
-                        )
-                    })?;
-                    let m = child_ring.len();
-                    // New ring edge (prev_end, x).
-                    if prev_end == y {
-                        // Bridge edge (y, x): already active (initial edge).
-                    } else {
-                        // Edge between consecutive children: 2-hop pattern
-                        // via the shared attach node y. The helper is
-                        // witnessed by the previous child's bridge, the
-                        // final edge by the attach node itself.
-                        helpers.push((prev_end, y, prev_x));
-                        round_b.push((prev_end, x, y));
-                    }
-                    // Cut the child's closing ring edge (x, ccw(x)) for
-                    // rings of size >= 3.
-                    if m >= 3 {
-                        deactivate.push((x, ccw(child_ring, x_pos)));
-                    }
-                    stale_tree_edges.extend(tree_edges[child.index()].iter().copied());
-                    // Link the child's rotated ring into the segment.
-                    let mut cursor = prev_end;
-                    for k in 0..m {
-                        let node = child_ring[(x_pos + k) % m];
-                        ring_succ[cursor.index()] = node;
-                        ring_mark[node.index()] = (epoch, root);
-                        cursor = node;
-                    }
-                    prev_end = cursor;
-                    prev_x = x;
-                    segment_len += m;
-                }
-                // Closing edge back into the root ring.
-                if len_before >= 2 {
-                    let next_after_y = succ_after_y;
-                    helpers.push((prev_end, y, prev_x));
-                    round_b.push((prev_end, next_after_y, y));
-                    // The insertion edge (y, next_after_y) is replaced.
-                    deactivate.push((y, next_after_y));
-                } else {
-                    // Singleton root: close the cycle straight back to y.
-                    round_a.push((prev_end, y, prev_x));
-                }
-                // Close the spliced segment back into the ring.
-                ring_succ[prev_end.index()] = succ_after_y;
-                ring_len[root.index()] = len_before + segment_len;
+            let group = &level[g..g_end];
+            g = g_end;
+            // The attach node was spliced into this root's ring at an
+            // earlier level (or belongs to the root itself).
+            if self.ring_mark[y.index()] != (self.epoch, root) {
+                return Err(invariant_error(
+                    self.name,
+                    format!("attach node {y} is not on the merged ring of {root}"),
+                ));
             }
-
-            // Execute the level's edge operations as two batched waves:
-            // round A (helpers and distance-2 edges), round B (final edges
-            // + clean-up). The pre-filters mirror the old per-edge loops
-            // exactly, so a round commits if and only if it did before.
-            let mut wave_acts: Vec<adn_sim::WaveActivation> = Vec::new();
-            let mut wave_drops: Vec<Edge> = Vec::new();
-            for &(a, b, w) in round_a.iter().chain(helpers.iter()) {
-                if a != b && !network.graph().has_edge(a, b) {
-                    wave_acts.push(adn_sim::WaveActivation {
-                        initiator: a,
-                        target: b,
-                        witness: w,
-                    });
+            let succ_after_y = self.ring_succ[y.index()];
+            let len_before = self.ring_len[root.index()];
+            let mut prev_end: NodeId = y;
+            // Bridge node of the previously spliced child: `prev_end` is
+            // the last node of that child's rotated ring, so its bridge is
+            // adjacent to both `prev_end` (ring edge, not yet cut) and `y`
+            // (initial bridge edge) — the witness for every chained helper.
+            let mut prev_x: NodeId = y;
+            let mut segment_len = 0usize;
+            for &(_, child, x, _) in group {
+                let child_ring = self.forest.members(child);
+                let x_pos = position_of(child_ring, x).ok_or_else(|| {
+                    invariant_error(
+                        self.name,
+                        format!("bridge node {x} is not on the ring of committee {child}"),
+                    )
+                })?;
+                let m = child_ring.len();
+                // New ring edge (prev_end, x); the bridge edge (y, x) of
+                // the first child is already active (an initial edge).
+                if prev_end != y {
+                    // Edge between consecutive children: 2-hop pattern via
+                    // the shared attach node y. The helper is witnessed by
+                    // the previous child's bridge, the final edge by y.
+                    ops.helpers.push((prev_end, y, prev_x));
+                    ops.round_b.push((prev_end, x, y));
                 }
+                // Cut the child's closing ring edge (x, ccw(x)) for rings
+                // of size >= 3.
+                if m >= 3 {
+                    ops.deactivate.push((x, ccw(child_ring, x_pos)));
+                }
+                self.stale_tree_edges
+                    .extend(self.tree_edges[child.index()].iter().copied());
+                // Link the child's rotated ring into the segment.
+                let mut cursor = prev_end;
+                for k in 0..m {
+                    let node = child_ring[(x_pos + k) % m];
+                    self.ring_succ[cursor.index()] = node;
+                    self.ring_mark[node.index()] = (self.epoch, root);
+                    cursor = node;
+                }
+                prev_end = cursor;
+                prev_x = x;
+                segment_len += m;
             }
-            if !wave_acts.is_empty() {
-                network.stage_jump_wave(&wave_acts, &[])?;
-                network.commit_round();
+            if len_before >= 2 {
+                // Closing edge back into the root ring; the insertion edge
+                // (y, succ_after_y) is replaced.
+                ops.helpers.push((prev_end, y, prev_x));
+                ops.round_b.push((prev_end, succ_after_y, y));
+                ops.deactivate.push((y, succ_after_y));
             } else {
-                network.advance_idle_rounds(1);
+                // Singleton root: close the cycle straight back to y.
+                ops.round_a.push((prev_end, y, prev_x));
             }
-            wave_acts.clear();
-            for &(a, b, w) in &round_b {
-                if a != b && !network.graph().has_edge(a, b) {
-                    wave_acts.push(adn_sim::WaveActivation {
-                        initiator: a,
-                        target: b,
-                        witness: w,
-                    });
-                }
-            }
-            for &(a, b, _) in &helpers {
-                // Helper edges that are not initial edges are dropped again
-                // (those that coincided with an existing bridge stay).
-                if !initial.has_edge(a, b) && network.graph().has_edge(a, b) {
-                    wave_drops.push(Edge::new(a, b));
-                }
-            }
-            for &(a, b) in &deactivate {
-                if !initial.has_edge(a, b) {
-                    wave_drops.push(Edge::new(a, b));
-                }
-            }
-            if !wave_acts.is_empty() || !wave_drops.is_empty() {
-                network.stage_jump_wave(&wave_acts, &wave_drops)?;
-                network.commit_round();
-            } else {
-                network.advance_idle_rounds(1);
-            }
-
-            // Next BFS level.
-            frontier = level.iter().map(|(_, c, _, _)| *c).collect();
+            self.ring_succ[prev_end.index()] = succ_after_y;
+            self.ring_len[root.index()] = len_before + segment_len;
         }
+        Ok(Some(ops))
+    }
 
-        if !merged_any {
-            network.advance_idle_rounds(1);
-            continue;
-        }
+    /// True when this phase planned at least one splice level.
+    pub(crate) fn merged_any(&self) -> bool {
+        self.merged_any
+    }
 
-        // Materialize every merged ring in one amortized pass: walk the
-        // successor map from the root's leader (the rotation the tree
-        // rebuild starts from; ring edge *sets* are rotation-invariant).
-        for &root in sel.roots() {
-            if !sel.has_children(root) {
+    /// Materialises every merged ring — walking the successor map from the
+    /// root's leader, the rotation the tree rebuild starts from — and
+    /// returns the stale tree edges to drop before the rebuild, as
+    /// `(initiator, peer)` pairs: old tree edges of every merging
+    /// committee (roots included) that are not initial edges, not on a
+    /// surviving ring, and still active in `graph`.
+    pub(crate) fn close_rings(
+        &mut self,
+        graph: &Graph,
+        initial: &Graph,
+    ) -> Result<Vec<(NodeId, NodeId)>, CoreError> {
+        for &root in self.sel.roots() {
+            if !self.sel.has_children(root) {
                 continue;
             }
-            let leader = forest.leader(root);
-            if ring_mark[leader.index()] != (epoch, root) {
+            let leader = self.forest.leader(root);
+            if self.ring_mark[leader.index()] != (self.epoch, root) {
                 return Err(invariant_error(
-                    config.name,
+                    self.name,
                     format!("leader {leader} is not on the merged ring of {root}"),
                 ));
             }
-            let m = ring_len[root.index()];
-            let line = &mut merged_line[root.index()];
+            let m = self.ring_len[root.index()];
+            let line = &mut self.merged_line[root.index()];
             line.clear();
             let mut cur = leader;
             for _ in 0..m {
                 line.push(cur);
-                cur = ring_succ[cur.index()];
+                cur = self.ring_succ[cur.index()];
             }
             if cur != leader {
                 return Err(invariant_error(
-                    config.name,
+                    self.name,
                     format!("merged ring of {root} did not close at its leader"),
                 ));
             }
-        }
-
-        // Drop the stale tree edges of the committees that merged (their
-        // trees are rebuilt over the merged rings); the roots' old trees are
-        // dropped as well. Tree edges that coincide with edges of a merged
-        // ring (or with initial edges) are kept.
-        for &root in sel.roots() {
-            if sel.has_children(root) {
-                stale_tree_edges.extend(tree_edges[root.index()].iter().copied());
-            }
+            self.stale_tree_edges
+                .extend(self.tree_edges[root.index()].iter().copied());
         }
         let mut ring_edge_vec: Vec<Edge> = Vec::new();
-        for &root in sel.roots() {
-            let ring: &[NodeId] = if sel.has_children(root) {
-                &merged_line[root.index()]
+        for &root in self.sel.roots() {
+            let ring: &[NodeId] = if self.sel.has_children(root) {
+                &self.merged_line[root.index()]
             } else {
-                forest.members(root)
+                self.forest.members(root)
             };
             for w in ring.windows(2) {
                 ring_edge_vec.push(Edge::new(w[0], w[1]));
@@ -548,98 +477,238 @@ fn run_phases(
             }
         }
         let ring_edges = SortedEdgeSet::from_vec(ring_edge_vec);
-        let mut staged = false;
-        for e in &stale_tree_edges {
-            if !initial.has_edge(e.a, e.b)
-                && !ring_edges.contains(e)
-                && network.graph().has_edge(e.a, e.b)
-            {
-                network.stage_deactivation(e.a, e.b)?;
-                staged = true;
-            }
-        }
-        if staged {
-            network.commit_round();
-        }
+        Ok(self
+            .stale_tree_edges
+            .iter()
+            .filter(|e| {
+                !initial.has_edge(e.a, e.b) && !ring_edges.contains(e) && graph.has_edge(e.a, e.b)
+            })
+            .map(|e| (e.a, e.b))
+            .collect())
+    }
 
-        // ------------------------------------------------------------------
-        // Tree merging: rebuild a complete `arity`-ary tree over every
-        // merged ring with the asynchronous LineToCompleteBinaryTree,
-        // keeping the ring edges protected. The wake-up schedule models the
-        // activation message propagating from the ex-leaders (Appendix B):
-        // a node wakes after at most the depth of its former committee.
-        // ------------------------------------------------------------------
-        for &root in sel.roots() {
-            if !sel.has_children(root) {
-                // Untouched committee: carried over unchanged (the slot
-                // simply survives in the arena).
+    /// Appendix B's wake-up schedule for rebuilding the tree over a merged
+    /// ring: each node wakes after the depth of its former committee's
+    /// tree, read from the pre-merge partition.
+    pub(crate) fn wake_rounds(&self, line: &[NodeId]) -> Vec<usize> {
+        line.iter()
+            .map(|u| {
+                1 + self
+                    .forest
+                    .committee_of(*u)
+                    .map(|c| self.tree_depth[c.index()])
+                    .unwrap_or(0)
+            })
+            .collect()
+    }
+
+    /// Rebuilds a tree over every merged ring — `build` runs the
+    /// line-to-tree subroutine on the ring (with the ring edges protected
+    /// by the given configuration) and returns its positional tree —
+    /// installs it as the root's wreath, and retires every committee that
+    /// merged away. `build` sees the planner before the root is re-homed,
+    /// so [`wake_rounds`](Self::wake_rounds) reads the pre-merge
+    /// partition.
+    pub(crate) fn rebuild_trees<F>(&mut self, mut build: F) -> Result<(), CoreError>
+    where
+        F: FnMut(&Self, CommitteeId, &[NodeId], &LineToTreeConfig) -> Result<RootedTree, CoreError>,
+    {
+        for i in 0..self.sel.roots().len() {
+            let root = self.sel.roots()[i];
+            if !self.sel.has_children(root) {
+                // Untouched committee: carried over unchanged.
                 continue;
             }
-            // The materialized merged ring, already rotated to start at
-            // the root's leader. Taken out of the per-slot buffer so
-            // `replace_members` below can own it without a copy.
-            let line = std::mem::take(&mut merged_line[root.index()]);
-            let m = line.len();
-            let protected = SortedEdgeSet::ring_edges(&line);
-            // Wake-up times read the *pre-merge* partition: each node wakes
-            // after the depth of its former committee's tree. The forest
-            // still holds the old membership of every node on this root's
-            // ring (roots are disjoint, and this root's `replace_members`
-            // below is the only thing that re-homes them).
-            let wake: Vec<usize> = line
-                .iter()
-                .map(|u| {
-                    1 + forest
-                        .committee_of(*u)
-                        .map(|c| tree_depth[c.index()])
-                        .unwrap_or(0)
-                })
-                .collect();
-            let async_config = AsyncLineConfig {
-                arity: config.tree_arity,
-                protected_edges: protected,
-                wake_round: wake,
+            // Taken out of the per-slot buffer so `replace_members` can own
+            // it without a copy.
+            let line = std::mem::take(&mut self.merged_line[root.index()]);
+            let config = LineToTreeConfig {
+                arity: self.arity,
+                protected_edges: SortedEdgeSet::ring_edges(&line),
             };
-            let (tree, _rounds) = run_async_line_to_tree_with_scratch(
-                network,
-                &line,
-                &async_config,
-                &mut line_scratch,
-            )?;
-            tree_edges[root.index()] = (1..m)
-                .map(|pos| {
-                    let parent_pos = tree.parent(NodeId(pos)).expect("non-root has parent");
-                    Edge::new(line[pos], line[parent_pos.index()])
-                })
-                .collect();
-            tree_depth[root.index()] = tree.depth();
-            forest.replace_members(root, line);
+            let tree = build(self, root, &line, &config)?;
+            let mut edges: Vec<Edge> = Vec::with_capacity(line.len().saturating_sub(1));
+            for pos in 1..line.len() {
+                let parent_pos = tree.parent(NodeId(pos)).ok_or_else(|| {
+                    invariant_error(
+                        self.name,
+                        format!("position {pos} has no parent in the rebuilt tree"),
+                    )
+                })?;
+                edges.push(Edge::new(line[pos], line[parent_pos.index()]));
+            }
+            self.tree_edges[root.index()] = edges;
+            self.tree_depth[root.index()] = tree.depth();
+            self.forest.replace_members(root, line);
         }
-
-        // Retire every committee that merged away (its members were
+        // Every committee that selected merged away (its members were
         // re-homed by its root's `replace_members` above).
-        let dead: Vec<CommitteeId> = forest
+        let dead: Vec<CommitteeId> = self
+            .forest
             .live_ids()
             .iter()
             .copied()
-            .filter(|c| selected[c.index()].is_some())
+            .filter(|c| self.selected[c.index()].is_some())
             .collect();
         for c in dead {
-            forest.retire(c);
-            tree_edges[c.index()].clear();
-            tree_depth[c.index()] = 0;
+            self.forest.retire(c);
+            self.tree_edges[c.index()].clear();
+            self.tree_depth[c.index()] = 0;
         }
+        Ok(())
     }
 
-    // ----------------------------------------------------------------------
+    /// The edges the termination phase keeps: the spanning tree of the
+    /// final committee.
+    pub(crate) fn termination_keep(&self) -> SortedEdgeSet {
+        let final_committee = self.forest.live_ids()[0];
+        SortedEdgeSet::from_vec(self.tree_edges[final_committee.index()].clone())
+    }
+}
+
+/// Executes the shared wreath engine on `network` (trait entry point used
+/// by both [`crate::algorithm::GraphToWreath`] and
+/// [`crate::algorithm::GraphToThinWreath`]).
+///
+/// # Errors
+///
+/// * [`CoreError::InvalidInput`] for empty/disconnected inputs.
+/// * [`CoreError::DidNotConverge`] / [`CoreError::Sim`] /
+///   [`CoreError::BrokenInvariant`] on bugs.
+pub(crate) fn execute(
+    network: &mut Network,
+    uids: &UidMap,
+    config: &WreathConfig,
+    run: &RunConfig,
+) -> Result<TransformationOutcome, CoreError> {
+    validate_input(network, uids, config.name)?;
+    if !run.engine.is_synchronous() {
+        return crate::subroutines::runtime_committee::run_runtime_wreath(
+            network, uids, config, run,
+        );
+    }
+    let initial = network.graph().clone();
+    let n = initial.node_count();
+
+    network.set_trace_enabled(run.trace.is_per_round());
+    // The delta-driven committee adjacency consumes the committee tap
+    // of the network's round-event bus. The tap is armed before the
+    // first operation so no delta is missed, and disarmed on *every*
+    // exit path — error returns included — so a caller's network is
+    // never left accumulating deltas.
+    network.set_edge_delta_tracking(true);
+    let result = run_phases(network, uids, config, run, &initial, n);
+    network.set_edge_delta_tracking(false);
+    result
+}
+
+/// The synchronous executor of the [`WreathPlanner`]: every planned step
+/// runs as lock-step rounds. Split out of [`execute`] so the edge-delta
+/// hook is disarmed on every exit path (the engine's `run_rounds`
+/// discipline).
+fn run_phases(
+    network: &mut Network,
+    uids: &UidMap,
+    config: &WreathConfig,
+    run: &RunConfig,
+    initial: &Graph,
+    n: usize,
+) -> Result<TransformationOutcome, CoreError> {
+    let mut plan = WreathPlanner::new(config, n);
+    let mut adjacency_tracker = IncrementalAdjacency::new(plan.forest(), initial);
+    let mut ledger = config.phase_ledger(n);
+    // Memoises jump schedules and recycles the line-to-tree subroutine's
+    // positional state across merges.
+    let mut line_scratch = LineScratch::new();
+
+    while plan.forest().live_count() > 1 {
+        ledger.open(run, network, plan.forest().live_count())?;
+        network.note_groups_alive(plan.forest().live_count());
+
+        // Selection: every committee picks its largest-UID strictly-larger
+        // neighbour over the shared committee adjacency.
+        let deltas = network.take_edge_deltas();
+        let adjacency = adjacency_tracker.refresh(plan.forest(), network.graph(), &deltas);
+        let any_selected = plan.select(|forest, cid| {
+            Ok(adjacency.select_largest_uid_neighbor(cid, forest, uids, |_| true))
+        })?;
+
+        // Communication charge: the selection requires each committee to
+        // gather neighbour information and coordinate, which costs a
+        // constant number of sweeps of its own tree (Appendix B bounds it
+        // by 4·log n). We charge 2·(max tree depth involved) + 2 idle
+        // rounds for the whole phase.
+        if config.charge_communication {
+            network.advance_idle_rounds(2 * plan.max_tree_depth() + 2);
+        }
+
+        if !any_selected {
+            // No committee found a larger neighbour other than through
+            // committees currently unavailable; with a connected network
+            // this cannot persist, but charge a round and retry.
+            network.advance_idle_rounds(1);
+            continue;
+        }
+
+        // Ring merging, one splice level per pair of rounds. The
+        // pre-filters keep a round committing if and only if it has a
+        // real edge change; otherwise the round idles.
+        while let Some(level) = plan.next_level()? {
+            let wave_acts: Vec<WaveActivation> = level.round_a(network.graph()).collect();
+            if !wave_acts.is_empty() {
+                network.stage_jump_wave(&wave_acts, &[])?;
+                network.commit_round();
+            } else {
+                network.advance_idle_rounds(1);
+            }
+            let wave_acts: Vec<WaveActivation> = level.round_b(network.graph()).collect();
+            let wave_drops: Vec<Edge> = level
+                .round_b_drops(network.graph(), initial)
+                .map(|(a, b)| Edge::new(a, b))
+                .collect();
+            if !wave_acts.is_empty() || !wave_drops.is_empty() {
+                network.stage_jump_wave(&wave_acts, &wave_drops)?;
+                network.commit_round();
+            } else {
+                network.advance_idle_rounds(1);
+            }
+        }
+
+        if !plan.merged_any() {
+            network.advance_idle_rounds(1);
+            continue;
+        }
+
+        let stale = plan.close_rings(network.graph(), initial)?;
+        for &(a, b) in &stale {
+            network.stage_deactivation(a, b)?;
+        }
+        if !stale.is_empty() {
+            network.commit_round();
+        }
+
+        // Tree merging with the asynchronous LineToCompleteBinaryTree; the
+        // wake-up schedule models the activation message propagating from
+        // the ex-leaders (Appendix B).
+        plan.rebuild_trees(|plan, _root, line, line_config| {
+            let wake = plan.wake_rounds(line);
+            let (tree, _rounds) = run_async_line_to_tree_with_scratch(
+                network,
+                line,
+                line_config,
+                &wake,
+                &mut line_scratch,
+            )?;
+            Ok(tree)
+        })?;
+    }
+
     // Termination: keep only the spanning tree of the final committee.
-    // ----------------------------------------------------------------------
-    let final_committee = forest.live_ids()[0];
-    let leader = forest.leader(final_committee);
+    let leader = plan.forest().leader(plan.forest().live_ids()[0]);
     if n > 1 {
         run.check_round_budget(network)?;
         network.note_groups_alive(1);
-        let keep = SortedEdgeSet::from_vec(tree_edges[final_committee.index()].clone());
+        let keep = plan.termination_keep();
         let graph = network.graph().clone();
         let mut staged = false;
         for e in graph.edges() {
@@ -652,15 +721,13 @@ fn run_phases(
             network.commit_round();
         }
         network.advance_idle_rounds(1);
-        phases += 1;
-        committees_per_phase.push(1);
+        ledger.terminate();
     }
 
     run.check_round_budget(network)?;
     debug_assert_eq!(Some(leader), uids.max_uid_node());
     let mut outcome = TransformationOutcome::from_network(leader, network);
-    outcome.phases = phases;
-    outcome.committees_per_phase = committees_per_phase;
+    ledger.record(&mut outcome);
     Ok(outcome)
 }
 

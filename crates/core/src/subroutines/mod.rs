@@ -2,28 +2,28 @@
 //!
 //! * [`tree_to_star`] — `TreeToStar`: any rooted tree becomes a spanning
 //!   star centred at the root in `⌈log d⌉` rounds (Proposition 2.1).
-//! * [`line_to_tree`] — the synchronous `LineToCompleteBinaryTree`
-//!   (Proposition 2.2) generalised to arbitrary arity `k`; `k = 2` is the
-//!   paper's binary variant, `k = ⌈log n⌉` is the
-//!   `LineToCompletePolylogarithmicTree` used by `GraphToThinWreath`.
-//! * [`async_line_to_tree`] — the asynchronous wake-up variant
-//!   (Appendix B), which the wreath algorithms run after merging rings.
-//! * [`runtime_line_to_tree`] — the same subroutine as message-driven
+//! * [`line_to_tree`] — `LineToCompleteBinaryTree` (Proposition 2.2)
+//!   generalised to arbitrary arity `k` (`k = 2` is the paper's binary
+//!   variant, `k = ⌈log n⌉` the `LineToCompletePolylogarithmicTree` used
+//!   by `GraphToThinWreath`): the jump plan plus one round-based executor
+//!   that runs it under any wake-up schedule (Appendix B), all nodes
+//!   awake being the synchronous case. The wreath algorithms run it after
+//!   merging rings.
+//! * [`runtime_line_to_tree`] — the same plan executed by message-driven
 //!   actors on the `adn-runtime` schedulers (no round loop at all).
 //! * [`runtime_committee`] — the committee algorithms (`GraphToStar`, the
-//!   wreath family) as message-driven actors on the same schedulers, with
-//!   armed fault plans.
+//!   wreath family) as message-driven actors on the same schedulers,
+//!   executing the engines' shared phase planners, with armed fault plans.
 
-pub mod async_line_to_tree;
 pub mod line_to_tree;
 pub mod runtime_committee;
 pub mod runtime_line_to_tree;
 pub mod tree_to_star;
 
-pub use async_line_to_tree::{
-    run_async_line_to_tree, run_async_line_to_tree_with_scratch, AsyncLineConfig,
+pub use line_to_tree::{
+    run_async_line_to_tree, run_async_line_to_tree_with_scratch, run_line_to_tree, LineScratch,
+    LineToTreeConfig,
 };
-pub use line_to_tree::{run_line_to_tree, run_line_to_tree_with_scratch, LineToTreeConfig};
 pub use runtime_committee::{
     run_runtime_star, run_runtime_star_faulted, run_runtime_wreath, run_runtime_wreath_faulted,
 };
@@ -31,50 +31,3 @@ pub use runtime_line_to_tree::{
     run_runtime_line_to_tree_free, run_runtime_line_to_tree_seeded, TreeActor, TreeMsg,
 };
 pub use tree_to_star::run_tree_to_star;
-
-use std::collections::BTreeMap;
-
-/// Reusable scratch state for repeated line-to-tree runs.
-///
-/// The wreath engine rebuilds a tree over every merged ring, once per
-/// selection-tree root per phase; before this scratch existed, every such
-/// rebuild re-planned the synchronous jump schedule from nothing and
-/// allocated fresh positional state. One `LineScratch` threaded through a
-/// whole execution memoises the schedules — they are pure functions of
-/// `(line length, arity)`, and early phases merge many same-sized rings —
-/// and recycles the positional vectors across merges.
-///
-/// Purely an allocation/memoisation cache: runs with and without a shared
-/// scratch are behaviourally identical.
-#[derive(Debug, Default)]
-pub struct LineScratch {
-    /// Memoised synchronous jump schedules, keyed by (line length, arity).
-    pub(crate) schedules: BTreeMap<(usize, usize), Vec<Vec<usize>>>,
-    /// Current parent of every position.
-    pub(crate) parent_pos: Vec<usize>,
-    /// Children of every position (order-insensitive membership lists).
-    pub(crate) children: Vec<Vec<usize>>,
-    /// Number of schedule jumps each position has performed.
-    pub(crate) jumps_done: Vec<usize>,
-    /// Per-round jump marks (async fixpoint pass).
-    pub(crate) will_jump: Vec<bool>,
-    /// Per-round mover list (async commit pass).
-    pub(crate) movers: Vec<usize>,
-    /// Line-validation scratch (duplicate detection by sort).
-    pub(crate) seen: Vec<adn_graph::NodeId>,
-    /// Child counts (synchronous variant).
-    pub(crate) child_count: Vec<usize>,
-    /// Termination flags (synchronous variant).
-    pub(crate) terminated: Vec<bool>,
-    /// Per-round wave column: witnessed activations for `stage_jump_wave`.
-    pub(crate) wave_acts: Vec<adn_sim::WaveActivation>,
-    /// Per-round wave column: deactivations for `stage_jump_wave`.
-    pub(crate) wave_drops: Vec<adn_graph::Edge>,
-}
-
-impl LineScratch {
-    /// A fresh, empty scratch.
-    pub fn new() -> Self {
-        LineScratch::default()
-    }
-}

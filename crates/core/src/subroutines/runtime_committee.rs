@@ -23,10 +23,12 @@
 //!    per-level splice rounds), each planned by a deterministic driver
 //!    between barriers and carried out by the owning actors.
 //!
-//! The driver is plain in-process orchestration state (the committee
-//! forest, the mode column, the wreath's ring splicing): it runs *between*
-//! barriers, never inside the asynchronous execution, and mirrors the
-//! synchronous transition rules verbatim. Because every decision is made
+//! The driver is plain in-process orchestration state: it runs *between*
+//! barriers, never inside the asynchronous execution, and executes the
+//! shared planner of the synchronous engine — the wreath's
+//! `WreathPlanner` (committee forest, ring splicing, tree rebuilds) and
+//! the star's `end_phase` transition — so each phase rule has one
+//! implementation and two executors. Because every decision is made
 //! either on a complete message set (after a barrier) or by a
 //! commutative rule, the resulting committee structures — final graph,
 //! phase count, committees per phase — **equal the synchronous engines'
@@ -48,32 +50,18 @@
 //! scheduler, between deliveries of the committee protocol itself.
 
 use crate::algorithm::{EngineMode, RunConfig};
-use crate::committee::{CommitteeForest, CommitteeId, SelectionForest};
-use crate::graph_to_wreath::WreathConfig;
-use crate::subroutines::{
-    run_runtime_line_to_tree_free, run_runtime_line_to_tree_seeded, LineToTreeConfig,
-};
+use crate::committee::{validate_input, CommitteeForest, CommitteeId, PhaseLedger};
+use crate::graph_to_star::{end_phase, phase_ledger, Mode};
+use crate::graph_to_wreath::{SpliceLevel, WreathConfig, WreathPlanner};
+use crate::subroutines::{run_runtime_line_to_tree_free, run_runtime_line_to_tree_seeded};
 use crate::{CoreError, TransformationOutcome};
-use adn_graph::edgeset::SortedEdgeSet;
-use adn_graph::properties::ceil_log2;
-use adn_graph::{Edge, Graph, NodeId, Uid, UidMap};
+use adn_graph::{Graph, NodeId, Uid, UidMap};
 use adn_runtime::{
     AsyncKnobs, AsyncProgram, Context, FaultPlan, FreeScheduler, RuntimeReport, SeededScheduler,
 };
 use adn_sim::Network;
 use std::mem;
 use std::sync::Arc;
-
-/// A committee mode as carried on the wire (the star engine's `Mode`,
-/// made `Copy` for gossip payloads). The wreath engine gossips
-/// `Selection` for everyone — its selection rule ignores modes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum WireMode {
-    Selection,
-    Merging(NodeId),
-    Pulling(NodeId),
-    Waiting,
-}
 
 /// One gossip observation: node `x` saw neighbour `y`, which reported
 /// belonging to the committee led by `y_leader` currently in `y_mode`.
@@ -82,14 +70,14 @@ struct BridgeInfo {
     x: NodeId,
     y: NodeId,
     y_leader: NodeId,
-    y_mode: WireMode,
+    y_mode: Mode,
 }
 
 /// Messages of the committee protocols.
 #[derive(Debug, Clone)]
 enum CommitteeMsg {
     /// Gossip: "I belong to the committee led by `leader`, in `mode`."
-    Bridge { leader: NodeId, mode: WireMode },
+    Bridge { leader: NodeId, mode: Mode },
     /// A member forwards its gossip observations to its leader.
     Report { bridges: Vec<BridgeInfo> },
     /// A merging leader instructs a member to join `into`'s star.
@@ -118,7 +106,7 @@ struct CommitteeActor {
     // Driver-fed inputs.
     mini: Mini,
     leader: NodeId,
-    mode: WireMode,
+    mode: Mode,
     neighbors: Vec<NodeId>,
     members: Vec<NodeId>,
     assigned_acts: Vec<NodeId>,
@@ -140,7 +128,7 @@ impl CommitteeActor {
             initial: Arc::clone(initial),
             mini: Mini::Idle,
             leader: NodeId(id),
-            mode: WireMode::Selection,
+            mode: Mode::Selection,
             neighbors: Vec::new(),
             members: Vec::new(),
             assigned_acts: Vec::new(),
@@ -180,7 +168,7 @@ impl CommitteeActor {
             if e.y_leader == self.leader {
                 continue; // intra-committee edge
             }
-            if star_rules && matches!(e.y_mode, WireMode::Merging(_) | WireMode::Pulling(_)) {
+            if star_rules && matches!(e.y_mode, Mode::Merging { .. } | Mode::Pulling { .. }) {
                 continue; // committed committees are not selectable targets
             }
             let uid = self.uids.uid(e.y_leader);
@@ -207,7 +195,7 @@ impl CommitteeActor {
     fn star_decide(&mut self, ctx: &mut Context<CommitteeMsg>) {
         let me = ctx.id();
         match self.mode {
-            WireMode::Selection => {
+            Mode::Selection => {
                 let Some((v, x, y)) = self.decide_selection(me, true) else {
                     return;
                 };
@@ -224,7 +212,7 @@ impl CommitteeActor {
                 ctx.activate(y);
                 self.pending_b = Some((v, Some(y)));
             }
-            WireMode::Merging(into) => {
+            Mode::Merging { into } => {
                 for i in 0..self.members.len() {
                     let m = self.members[i];
                     if m != me {
@@ -232,7 +220,7 @@ impl CommitteeActor {
                     }
                 }
             }
-            WireMode::Pulling(attach) => {
+            Mode::Pulling { attach } => {
                 // Any gossip entry for the attach node carries the same
                 // `(leader, mode)` payload, so the pick is value-unique.
                 let Some(e) = self.reports.iter().find(|e| e.y == attach).copied() else {
@@ -242,8 +230,8 @@ impl CommitteeActor {
                     e.y_leader
                 } else {
                     match e.y_mode {
-                        WireMode::Merging(into) => into,
-                        WireMode::Pulling(up) => up,
+                        Mode::Merging { into } => into,
+                        Mode::Pulling { attach: up } => up,
                         _ => attach,
                     }
                 };
@@ -255,7 +243,7 @@ impl CommitteeActor {
                 }
                 self.climb = Some(target);
             }
-            WireMode::Waiting => {}
+            Mode::Waiting => {}
         }
     }
 }
@@ -361,7 +349,7 @@ fn build_actors(n: usize, uids: &UidMap, initial: &Graph) -> Vec<CommitteeActor>
 /// Feeds every committee member its phase inputs and arms the gossip
 /// mini-phase. All nodes belong to some live committee, so this covers
 /// the whole actor array.
-fn prep_gossip<F: Fn(CommitteeId) -> WireMode>(
+fn prep_gossip<F: Fn(CommitteeId) -> Mode>(
     forest: &CommitteeForest,
     network: &Network,
     actors: &mut [CommitteeActor],
@@ -435,16 +423,15 @@ enum StarStage {
     Done,
 }
 
-/// The deterministic between-barriers orchestrator of the star phases.
-/// Mirrors `graph_to_star::State::run_phase` clause for clause.
+/// The deterministic between-barriers orchestrator of the star phases:
+/// the leaders decide by message, and the end of every phase runs
+/// GraphToStar's shared transition ([`end_phase`]).
 struct StarDriver<'a> {
     run: &'a RunConfig,
     n: usize,
     forest: CommitteeForest,
-    mode: Vec<WireMode>,
-    phases: usize,
-    committees_per_phase: Vec<usize>,
-    phase_limit: usize,
+    mode: Vec<Mode>,
+    ledger: PhaseLedger,
     stage: StarStage,
 }
 
@@ -454,10 +441,8 @@ impl<'a> StarDriver<'a> {
             run,
             n,
             forest: CommitteeForest::singletons(n),
-            mode: vec![WireMode::Selection; n],
-            phases: 0,
-            committees_per_phase: Vec::new(),
-            phase_limit: 40 * ceil_log2(n.max(2)) + 80,
+            mode: vec![Mode::Selection; n],
+            ledger: phase_ledger(n),
             stage: StarStage::Begin,
         }
     }
@@ -476,23 +461,15 @@ impl<'a> StarDriver<'a> {
                         if self.n > 1 {
                             self.run.check_round_budget(network)?;
                             self.prep_termination(network, actors);
-                            self.phases += 1;
-                            self.committees_per_phase.push(1);
+                            self.ledger.terminate();
                             self.stage = StarStage::Done;
                             return Ok(true);
                         }
                         self.stage = StarStage::Done;
                         return Ok(false);
                     }
-                    self.phases += 1;
-                    self.run.check_round_budget(network)?;
-                    if self.phases > self.phase_limit {
-                        return Err(CoreError::DidNotConverge {
-                            algorithm: "GraphToStar",
-                            phase_limit: self.phase_limit,
-                        });
-                    }
-                    self.committees_per_phase.push(self.forest.live_count());
+                    self.ledger
+                        .open(self.run, network, self.forest.live_count())?;
                     let mode = &self.mode;
                     prep_gossip(&self.forest, network, actors, |cid| mode[cid.index()]);
                     self.stage = StarStage::Gossip;
@@ -541,14 +518,12 @@ impl<'a> StarDriver<'a> {
     }
 
     /// Bookkeeping after the deactivation barrier: harvest the leaders'
-    /// decisions and replay the synchronous merge/transition rules.
+    /// decisions and apply the shared end-of-phase transition.
     fn finish_phase(&mut self, actors: &[CommitteeActor]) -> Result<(), CoreError> {
-        let slots = self.forest.slot_count();
+        // Three passes, in the order the invariant errors are reported.
         let mut selections: Vec<(CommitteeId, CommitteeId)> = Vec::new();
-        let mut did_select = vec![false; slots];
-        let mut selected_by = vec![false; slots];
         for &cid in self.forest.live_ids() {
-            if self.mode[cid.index()] != WireMode::Selection {
+            if self.mode[cid.index()] != Mode::Selection {
                 continue;
             }
             let leader = self.forest.leader(cid);
@@ -556,91 +531,33 @@ impl<'a> StarDriver<'a> {
                 let target = self.forest.committee_of(v).ok_or_else(|| {
                     invariant("GraphToStar", format!("selection target {v} is untracked"))
                 })?;
-                did_select[cid.index()] = true;
-                selected_by[target.index()] = true;
                 selections.push((cid, target));
             }
         }
-
         let mut merges: Vec<(CommitteeId, CommitteeId)> = Vec::new();
         for &cid in self.forest.live_ids() {
-            if let WireMode::Merging(into) = self.mode[cid.index()] {
+            if let Mode::Merging { into } = self.mode[cid.index()] {
                 let into_cid = self.forest.committee_of(into).ok_or_else(|| {
                     invariant("GraphToStar", format!("merge target {into} is untracked"))
                 })?;
                 merges.push((cid, into_cid));
             }
         }
-
         let mut climbs: Vec<(CommitteeId, NodeId)> = Vec::new();
         for &cid in self.forest.live_ids() {
-            if let WireMode::Pulling(attach) = self.mode[cid.index()] {
+            if let Mode::Pulling { attach } = self.mode[cid.index()] {
                 let leader = self.forest.leader(cid);
                 // Degraded (faulted) committees recorded no climb: stay put.
                 climbs.push((cid, actors[leader.index()].climb.unwrap_or(attach)));
             }
         }
-
-        for &(dying, absorbing) in &merges {
-            self.forest.absorb(dying, absorbing);
-        }
-
-        for (cid, new_attach) in climbs {
-            let attach_cid = self.forest.committee_of(new_attach).ok_or_else(|| {
-                invariant(
-                    "GraphToStar",
-                    format!("attach node {new_attach} is untracked"),
-                )
-            })?;
-            let attach_is_root_leader = new_attach == self.forest.leader(attach_cid)
-                && matches!(
-                    self.mode[attach_cid.index()],
-                    WireMode::Waiting | WireMode::Selection
-                );
-            self.mode[cid.index()] = if attach_is_root_leader {
-                WireMode::Merging(new_attach)
-            } else {
-                WireMode::Pulling(new_attach)
-            };
-        }
-
-        for &(selector, target) in &selections {
-            let target_leader = self.forest.leader(target);
-            self.mode[selector.index()] = if did_select[target.index()] {
-                WireMode::Pulling(target_leader)
-            } else {
-                WireMode::Merging(target_leader)
-            };
-        }
-
-        let mut has_children = vec![false; slots];
-        for &cid in self.forest.live_ids() {
-            let parent = match self.mode[cid.index()] {
-                WireMode::Merging(into) => Some(into),
-                WireMode::Pulling(attach) => Some(attach),
-                _ => None,
-            };
-            if let Some(p) = parent {
-                let pc = self.forest.committee_of(p).ok_or_else(|| {
-                    invariant("GraphToStar", format!("parent node {p} is untracked"))
-                })?;
-                has_children[pc.index()] = true;
-            }
-        }
-        for &cid in self.forest.live_ids() {
-            match self.mode[cid.index()] {
-                WireMode::Merging(_) | WireMode::Pulling(_) => {}
-                WireMode::Selection | WireMode::Waiting => {
-                    self.mode[cid.index()] =
-                        if selected_by[cid.index()] || has_children[cid.index()] {
-                            WireMode::Waiting
-                        } else {
-                            WireMode::Selection
-                        };
-                }
-            }
-        }
-        Ok(())
+        end_phase(
+            &mut self.forest,
+            &mut self.mode,
+            &selections,
+            &merges,
+            &climbs,
+        )
     }
 }
 
@@ -670,11 +587,11 @@ enum WreathStage {
     Done,
 }
 
-/// The between-barriers orchestrator of the wreath phases. Mirrors
-/// `graph_to_wreath::run_phases` clause for clause: ring splicing is
-/// planned level by level, each level's round A / round B+clean-up pair
-/// becomes three barriers (activations, activations, deactivations), and
-/// the merged rings are rebuilt with the nested runtime line-to-tree.
+/// The between-barriers executor of the shared [`WreathPlanner`]: the
+/// leaders select by message, each planned splice level's round A /
+/// round B + clean-up pair becomes three barriers (activations,
+/// activations, deactivations), and the merged rings are rebuilt with the
+/// nested runtime line-to-tree.
 struct WreathDriver<'a> {
     run: &'a RunConfig,
     wreath: &'a WreathConfig,
@@ -682,28 +599,12 @@ struct WreathDriver<'a> {
     n: usize,
     nested: NestedEngine,
     knobs: AsyncKnobs,
-    forest: CommitteeForest,
-    tree_edges: Vec<Vec<Edge>>,
-    tree_depth: Vec<usize>,
-    ring_succ: Vec<NodeId>,
-    ring_mark: Vec<(u64, CommitteeId)>,
-    ring_len: Vec<usize>,
-    merged_line: Vec<Vec<NodeId>>,
-    epoch: u64,
-    phases: usize,
-    committees_per_phase: Vec<usize>,
-    phase_limit: usize,
+    plan: WreathPlanner,
+    ledger: PhaseLedger,
     stage: WreathStage,
-    // Per-phase merge state.
-    selected: Vec<Option<(CommitteeId, NodeId, NodeId)>>,
-    sel: Option<SelectionForest>,
-    frontier: Vec<CommitteeId>,
-    stale_tree_edges: Vec<Edge>,
-    merged_any: bool,
-    // Per-level operation lists (synchronous round-B semantics).
-    round_b: Vec<(NodeId, NodeId)>,
-    helpers: Vec<(NodeId, NodeId)>,
-    deactivate: Vec<(NodeId, NodeId)>,
+    /// The splice level under execution.
+    level: SpliceLevel,
+    /// Its round-B deactivations, planned on the post-round-A snapshot.
     deacts_c: Vec<(NodeId, NodeId)>,
 }
 
@@ -723,32 +624,12 @@ impl<'a> WreathDriver<'a> {
             n,
             nested,
             knobs,
-            forest: CommitteeForest::singletons(n),
-            tree_edges: vec![Vec::new(); n],
-            tree_depth: vec![0; n],
-            ring_succ: (0..n).map(NodeId).collect(),
-            ring_mark: vec![(0, CommitteeId(0)); n],
-            ring_len: vec![0; n],
-            merged_line: vec![Vec::new(); n],
-            epoch: 0,
-            phases: 0,
-            committees_per_phase: Vec::new(),
-            phase_limit: 20 * ceil_log2(n.max(2)) + 40,
+            plan: WreathPlanner::new(wreath, n),
+            ledger: wreath.phase_ledger(n),
             stage: WreathStage::Begin,
-            selected: Vec::new(),
-            sel: None,
-            frontier: Vec::new(),
-            stale_tree_edges: Vec::new(),
-            merged_any: false,
-            round_b: Vec::new(),
-            helpers: Vec::new(),
-            deactivate: Vec::new(),
+            level: SpliceLevel::default(),
             deacts_c: Vec::new(),
         }
-    }
-
-    fn invariant(&self, detail: String) -> CoreError {
-        invariant(self.wreath.name, detail)
     }
 
     fn step(
@@ -759,28 +640,27 @@ impl<'a> WreathDriver<'a> {
         loop {
             match self.stage {
                 WreathStage::Begin => {
-                    if self.forest.live_count() <= 1 {
+                    if self.plan.forest().live_count() <= 1 {
                         if self.n > 1 {
                             self.run.check_round_budget(network)?;
-                            self.prep_termination(network, actors);
-                            self.phases += 1;
-                            self.committees_per_phase.push(1);
+                            let keep = self.plan.termination_keep();
+                            let deacts: Vec<(NodeId, NodeId)> = network
+                                .graph()
+                                .edges()
+                                .filter(|e| !keep.contains(e))
+                                .map(|e| (e.a, e.b))
+                                .collect();
+                            assign_ops(actors, &[], &deacts);
+                            self.ledger.terminate();
                             self.stage = WreathStage::Done;
                             return Ok(true);
                         }
                         self.stage = WreathStage::Done;
                         return Ok(false);
                     }
-                    self.phases += 1;
-                    self.run.check_round_budget(network)?;
-                    if self.phases > self.phase_limit {
-                        return Err(CoreError::DidNotConverge {
-                            algorithm: self.wreath.name,
-                            phase_limit: self.phase_limit,
-                        });
-                    }
-                    self.committees_per_phase.push(self.forest.live_count());
-                    prep_gossip(&self.forest, network, actors, |_| WireMode::Selection);
+                    self.ledger
+                        .open(self.run, network, self.plan.forest().live_count())?;
+                    prep_gossip(self.plan.forest(), network, actors, |_| Mode::Selection);
                     self.stage = WreathStage::Gossip;
                     return Ok(true);
                 }
@@ -795,69 +675,67 @@ impl<'a> WreathDriver<'a> {
                     return Ok(true);
                 }
                 WreathStage::Decide => {
-                    if !self.harvest_selection(actors)? {
-                        // No committee found a larger neighbour this phase;
-                        // retry (the phase was already counted, mirroring
-                        // the synchronous idle-and-continue).
-                        self.stage = WreathStage::Begin;
-                        continue;
-                    }
-                    self.stage = WreathStage::PlanLevel;
+                    let name = self.wreath.name;
+                    let any_selected = self.plan.select(|forest, cid| {
+                        let Some((v, x, y)) = actors[forest.leader(cid).index()].selection else {
+                            return Ok(None);
+                        };
+                        let target = forest.committee_of(v).ok_or_else(|| {
+                            invariant(name, format!("selection target {v} is untracked"))
+                        })?;
+                        Ok(Some((target, x, y)))
+                    })?;
+                    // With no selection the phase was already counted:
+                    // retry, as the synchronous engine idles and continues.
+                    self.stage = if any_selected {
+                        WreathStage::PlanLevel
+                    } else {
+                        WreathStage::Begin
+                    };
                 }
                 WreathStage::PlanLevel => {
-                    let level = self.compute_level()?;
-                    if level.is_empty() {
-                        if !self.merged_any {
-                            self.sel = None;
+                    let Some(level) = self.plan.next_level()? else {
+                        if !self.plan.merged_any() {
                             self.stage = WreathStage::Begin;
                             continue;
                         }
-                        self.materialize_rings()?;
-                        let cleanup = self.plan_cleanup(network)?;
+                        let cleanup = self.plan.close_rings(network.graph(), self.initial)?;
                         if cleanup.is_empty() {
-                            self.rebuild_and_retire(network)?;
+                            self.rebuild_trees(network)?;
                             self.stage = WreathStage::Begin;
                             continue;
                         }
                         assign_ops(actors, &[], &cleanup);
                         self.stage = WreathStage::Cleanup;
                         return Ok(true);
-                    }
-                    self.merged_any = true;
-                    let acts_a = self.plan_splices(network, level)?;
+                    };
+                    let acts_a: Vec<(NodeId, NodeId)> = level
+                        .round_a(network.graph())
+                        .map(|w| (w.initiator, w.target))
+                        .collect();
                     assign_ops(actors, &acts_a, &[]);
+                    self.level = level;
                     self.stage = WreathStage::LevelA;
                     return Ok(true);
                 }
                 WreathStage::LevelA => {
-                    // Post-round-A snapshot: plan the round-B activations
-                    // and the deferred deactivations with the synchronous
-                    // round-B guards.
+                    // Post-round-A snapshot: round B's activations now, its
+                    // deactivations after one more barrier.
                     let graph = network.graph();
-                    let mut acts_b: Vec<(NodeId, NodeId)> = Vec::new();
-                    for &(a, b) in &self.round_b {
-                        if a != b && !graph.has_edge(a, b) {
-                            acts_b.push((a, b));
-                        }
-                    }
+                    let acts_b: Vec<(NodeId, NodeId)> = self
+                        .level
+                        .round_b(graph)
+                        .map(|w| (w.initiator, w.target))
+                        .collect();
                     self.deacts_c.clear();
-                    for &(a, b) in &self.helpers {
-                        if !self.initial.has_edge(a, b) && graph.has_edge(a, b) {
-                            self.deacts_c.push((a, b));
-                        }
-                    }
-                    for &(a, b) in &self.deactivate {
-                        if !self.initial.has_edge(a, b) {
-                            self.deacts_c.push((a, b));
-                        }
-                    }
+                    self.deacts_c
+                        .extend(self.level.round_b_drops(graph, self.initial));
                     assign_ops(actors, &acts_b, &[]);
                     self.stage = WreathStage::LevelB;
                     return Ok(true);
                 }
                 WreathStage::LevelB => {
-                    let deacts = mem::take(&mut self.deacts_c);
-                    assign_ops(actors, &[], &deacts);
+                    assign_ops(actors, &[], &self.deacts_c);
                     self.stage = WreathStage::LevelC;
                     return Ok(true);
                 }
@@ -865,7 +743,7 @@ impl<'a> WreathDriver<'a> {
                     self.stage = WreathStage::PlanLevel;
                 }
                 WreathStage::Cleanup => {
-                    self.rebuild_and_retire(network)?;
+                    self.rebuild_trees(network)?;
                     self.stage = WreathStage::Begin;
                 }
                 WreathStage::Done => return Ok(false),
@@ -873,306 +751,25 @@ impl<'a> WreathDriver<'a> {
         }
     }
 
-    /// Harvests the leaders' selections; returns `false` when no
-    /// committee selected. On success the selection forest and the ring
-    /// splice state are initialised.
-    fn harvest_selection(&mut self, actors: &[CommitteeActor]) -> Result<bool, CoreError> {
-        let slots = self.forest.slot_count();
-        self.selected = vec![None; slots];
-        let mut sel_edges: Vec<(CommitteeId, CommitteeId)> = Vec::new();
-        for &cid in self.forest.live_ids() {
-            let leader = self.forest.leader(cid);
-            if let Some((v, x, y)) = actors[leader.index()].selection {
-                let target = self
-                    .forest
-                    .committee_of(v)
-                    .ok_or_else(|| self.invariant(format!("selection target {v} is untracked")))?;
-                self.selected[cid.index()] = Some((target, x, y));
-                sel_edges.push((cid, target));
-            }
-        }
-        if sel_edges.is_empty() {
-            return Ok(false);
-        }
-        let sel = SelectionForest::new(&self.forest, &sel_edges);
-        self.epoch += 1;
-        for &r in sel.roots() {
-            if !sel.has_children(r) {
-                continue;
-            }
-            let members = self.forest.members(r);
-            for w in members.windows(2) {
-                self.ring_succ[w[0].index()] = w[1];
-            }
-            self.ring_succ[members[members.len() - 1].index()] = members[0];
-            for &u in members {
-                self.ring_mark[u.index()] = (self.epoch, r);
-            }
-            self.ring_len[r.index()] = members.len();
-        }
-        self.stale_tree_edges.clear();
-        self.merged_any = false;
-        self.frontier = sel.roots().to_vec();
-        self.sel = Some(sel);
-        Ok(true)
-    }
-
-    /// The next BFS level of the selection forest under the current
-    /// frontier: `(root, child, bridge x, attach y)` tuples.
-    fn compute_level(&self) -> Result<Vec<(CommitteeId, CommitteeId, NodeId, NodeId)>, CoreError> {
-        let sel = self
-            .sel
-            .as_ref()
-            .ok_or_else(|| self.invariant("level planning without a selection forest".into()))?;
-        let mut level: Vec<(CommitteeId, CommitteeId, NodeId, NodeId)> = Vec::new();
-        for &p in &self.frontier {
-            for &c in sel.children(p) {
-                let (_, x, y) = self.selected[c.index()].ok_or_else(|| {
-                    self.invariant(format!(
-                        "committee {c} has a parent but no recorded selection"
-                    ))
-                })?;
-                level.push((sel.root_of(p), c, x, y));
-            }
-        }
-        Ok(level)
-    }
-
-    /// Plans one splice level (the synchronous group chaining, verbatim):
-    /// fills the round-B / helper / deactivate lists, advances the ring
-    /// pointers, and returns the round-A activation list with its guard
-    /// evaluated against the current (pre-level) snapshot.
-    fn plan_splices(
-        &mut self,
-        network: &Network,
-        level: Vec<(CommitteeId, CommitteeId, NodeId, NodeId)>,
-    ) -> Result<Vec<(NodeId, NodeId)>, CoreError> {
-        let mut grouped = level.clone();
-        grouped.sort_by_key(|&(root, _, _, y)| (root, y));
-
-        let mut round_a: Vec<(NodeId, NodeId)> = Vec::new();
-        self.round_b.clear();
-        self.helpers.clear();
-        self.deactivate.clear();
-
-        let mut g = 0usize;
-        while g < grouped.len() {
-            let (root, _, _, y) = grouped[g];
-            let mut g_end = g + 1;
-            while g_end < grouped.len() && grouped[g_end].0 == root && grouped[g_end].3 == y {
-                g_end += 1;
-            }
-            let group = &grouped[g..g_end];
-            g = g_end;
-            if self.ring_mark[y.index()] != (self.epoch, root) {
-                return Err(self.invariant(format!(
-                    "attach node {y} is not on the merged ring of {root}"
-                )));
-            }
-            let succ_after_y = self.ring_succ[y.index()];
-            let len_before = self.ring_len[root.index()];
-            let mut prev_end: NodeId = y;
-            let mut segment_len = 0usize;
-            for &(_, child, x, _) in group {
-                let child_ring = self.forest.members(child);
-                let x_pos = child_ring.iter().position(|&u| u == x).ok_or_else(|| {
-                    self.invariant(format!(
-                        "bridge node {x} is not on the ring of committee {child}"
-                    ))
-                })?;
-                let m = child_ring.len();
-                if prev_end == y {
-                    // Bridge edge (y, x): already active (initial edge).
-                } else {
-                    self.helpers.push((prev_end, y));
-                    self.round_b.push((prev_end, x));
-                }
-                if m >= 3 {
-                    self.deactivate.push((x, child_ring[(x_pos + m - 1) % m]));
-                }
-                self.stale_tree_edges
-                    .extend(self.tree_edges[child.index()].iter().copied());
-                let mut cursor = prev_end;
-                for k in 0..m {
-                    let node = child_ring[(x_pos + k) % m];
-                    self.ring_succ[cursor.index()] = node;
-                    self.ring_mark[node.index()] = (self.epoch, root);
-                    cursor = node;
-                }
-                prev_end = cursor;
-                segment_len += m;
-            }
-            if len_before >= 2 {
-                self.helpers.push((prev_end, y));
-                self.round_b.push((prev_end, succ_after_y));
-                self.deactivate.push((y, succ_after_y));
-            } else {
-                round_a.push((prev_end, y));
-            }
-            self.ring_succ[prev_end.index()] = succ_after_y;
-            self.ring_len[root.index()] = len_before + segment_len;
-        }
-
-        self.frontier = level.iter().map(|&(_, c, _, _)| c).collect();
-
-        let graph = network.graph();
-        let mut acts_a: Vec<(NodeId, NodeId)> = Vec::new();
-        for &(a, b) in round_a.iter().chain(self.helpers.iter()) {
-            if a != b && !graph.has_edge(a, b) {
-                acts_a.push((a, b));
-            }
-        }
-        Ok(acts_a)
-    }
-
-    /// Walks the successor maps into per-root merged rings, rotated to
-    /// start at each root's leader (the synchronous materialization).
-    fn materialize_rings(&mut self) -> Result<(), CoreError> {
-        let sel = self
-            .sel
-            .as_ref()
-            .ok_or_else(|| self.invariant("materialize without a selection forest".into()))?;
-        for &root in sel.roots() {
-            if !sel.has_children(root) {
-                continue;
-            }
-            let leader = self.forest.leader(root);
-            if self.ring_mark[leader.index()] != (self.epoch, root) {
-                return Err(invariant(
-                    self.wreath.name,
-                    format!("leader {leader} is not on the merged ring of {root}"),
-                ));
-            }
-            let m = self.ring_len[root.index()];
-            let line = &mut self.merged_line[root.index()];
-            line.clear();
-            let mut cur = leader;
-            for _ in 0..m {
-                line.push(cur);
-                cur = self.ring_succ[cur.index()];
-            }
-            if cur != leader {
-                return Err(invariant(
-                    self.wreath.name,
-                    format!("merged ring of {root} did not close at its leader"),
-                ));
-            }
-        }
-        Ok(())
-    }
-
-    /// The stale-tree-edge clean-up list (synchronous guards: not an
-    /// initial edge, not on a surviving ring, still present).
-    fn plan_cleanup(&mut self, network: &Network) -> Result<Vec<(NodeId, NodeId)>, CoreError> {
-        let sel = self
-            .sel
-            .as_ref()
-            .ok_or_else(|| self.invariant("cleanup without a selection forest".into()))?;
-        for &root in sel.roots() {
-            if sel.has_children(root) {
-                self.stale_tree_edges
-                    .extend(self.tree_edges[root.index()].iter().copied());
-            }
-        }
-        let mut ring_edge_vec: Vec<Edge> = Vec::new();
-        for &root in sel.roots() {
-            let ring: &[NodeId] = if sel.has_children(root) {
-                &self.merged_line[root.index()]
-            } else {
-                self.forest.members(root)
-            };
-            for w in ring.windows(2) {
-                ring_edge_vec.push(Edge::new(w[0], w[1]));
-            }
-            if ring.len() >= 3 {
-                ring_edge_vec.push(Edge::new(ring[ring.len() - 1], ring[0]));
-            }
-        }
-        let ring_edges = SortedEdgeSet::from_vec(ring_edge_vec);
-        let graph = network.graph();
-        Ok(self
-            .stale_tree_edges
-            .iter()
-            .filter(|e| {
-                !self.initial.has_edge(e.a, e.b)
-                    && !ring_edges.contains(e)
-                    && graph.has_edge(e.a, e.b)
-            })
-            .map(|e| (e.a, e.b))
-            .collect())
-    }
-
-    /// Rebuilds an `arity`-ary tree over every merged ring with the
-    /// nested runtime line-to-tree (ring edges protected), re-homes the
-    /// members and retires the committees that merged away.
-    fn rebuild_and_retire(&mut self, network: &mut Network) -> Result<(), CoreError> {
-        let sel = self
-            .sel
-            .take()
-            .ok_or_else(|| self.invariant("rebuild without a selection forest".into()))?;
-        for &root in sel.roots() {
-            if !sel.has_children(root) {
-                continue;
-            }
-            let line = mem::take(&mut self.merged_line[root.index()]);
-            let m = line.len();
-            let config = LineToTreeConfig {
-                arity: self.wreath.tree_arity,
-                protected_edges: SortedEdgeSet::ring_edges(&line),
-            };
-            let (tree, _report) = match self.nested {
+    /// Rebuilds every merged ring's tree with the nested runtime
+    /// line-to-tree under the run's scheduler family.
+    fn rebuild_trees(&mut self, network: &mut Network) -> Result<(), CoreError> {
+        let (nested, knobs, phase) = (self.nested, self.knobs, self.ledger.phases() as u64);
+        self.plan.rebuild_trees(|_, root, line, config| {
+            let (tree, _report) = match nested {
                 NestedEngine::Seeded { seed } => run_runtime_line_to_tree_seeded(
                     network,
-                    &line,
-                    &config,
-                    split_seed(seed, self.phases as u64, root.index() as u64),
-                    self.knobs,
+                    line,
+                    config,
+                    split_seed(seed, phase, root.index() as u64),
+                    knobs,
                 )?,
                 NestedEngine::Free { threads } => {
-                    run_runtime_line_to_tree_free(network, &line, &config, threads)?
+                    run_runtime_line_to_tree_free(network, line, config, threads)?
                 }
             };
-            let mut edges: Vec<Edge> = Vec::with_capacity(m.saturating_sub(1));
-            for pos in 1..m {
-                let parent_pos = tree.parent(NodeId(pos)).ok_or_else(|| {
-                    invariant(
-                        self.wreath.name,
-                        format!("position {pos} has no parent in the rebuilt tree"),
-                    )
-                })?;
-                edges.push(Edge::new(line[pos], line[parent_pos.index()]));
-            }
-            self.tree_edges[root.index()] = edges;
-            self.tree_depth[root.index()] = tree.depth();
-            self.forest.replace_members(root, line);
-        }
-        let dead: Vec<CommitteeId> = self
-            .forest
-            .live_ids()
-            .iter()
-            .copied()
-            .filter(|c| self.selected[c.index()].is_some())
-            .collect();
-        for c in dead {
-            self.forest.retire(c);
-            self.tree_edges[c.index()].clear();
-            self.tree_depth[c.index()] = 0;
-        }
-        Ok(())
-    }
-
-    /// The synchronous termination phase: keep only the final committee's
-    /// tree edges.
-    fn prep_termination(&self, network: &Network, actors: &mut [CommitteeActor]) {
-        let final_committee = self.forest.live_ids()[0];
-        let keep = SortedEdgeSet::from_vec(self.tree_edges[final_committee.index()].clone());
-        let deacts: Vec<(NodeId, NodeId)> = network
-            .graph()
-            .edges()
-            .filter(|e| !keep.contains(e))
-            .map(|e| (e.a, e.b))
-            .collect();
-        assign_ops(actors, &[], &deacts);
+            Ok(tree)
+        })
     }
 }
 
@@ -1191,36 +788,14 @@ fn split_seed(base: u64, phase: u64, root: u64) -> u64 {
 // Entry points
 // ---------------------------------------------------------------------------
 
-fn validate(network: &Network, uids: &UidMap, name: &str) -> Result<(), CoreError> {
-    let n = network.node_count();
-    if n == 0 {
-        return Err(CoreError::InvalidInput {
-            reason: "the initial network must contain at least one node".into(),
-        });
-    }
-    if uids.len() != n {
-        return Err(CoreError::InvalidInput {
-            reason: "one UID per node is required".into(),
-        });
-    }
-    if !adn_graph::traversal::is_connected(network.graph()) {
-        return Err(CoreError::InvalidInput {
-            reason: format!("{name} requires a connected initial network"),
-        });
-    }
-    Ok(())
-}
-
 fn finish(
     network: &mut Network,
     leader: NodeId,
-    phases: usize,
-    committees_per_phase: Vec<usize>,
+    ledger: PhaseLedger,
     report: RuntimeReport,
 ) -> Result<TransformationOutcome, CoreError> {
     let mut outcome = TransformationOutcome::from_network(leader, network);
-    outcome.phases = phases;
-    outcome.committees_per_phase = committees_per_phase;
+    ledger.record(&mut outcome);
     outcome.runtime = Some(report);
     Ok(outcome)
 }
@@ -1249,7 +824,7 @@ pub fn run_runtime_star(
             &FaultPlan::default(),
         ),
         EngineMode::Free { threads } => {
-            validate(network, uids, "GraphToStar")?;
+            validate_input(network, uids, "GraphToStar")?;
             let initial = network.graph().clone();
             let n = initial.node_count();
             let mut actors = build_actors(n, uids, &initial);
@@ -1260,13 +835,7 @@ pub fn run_runtime_star(
                 |net, acts, _phase| driver.step(net, acts),
             )?;
             let leader = driver.forest.leader(driver.forest.live_ids()[0]);
-            finish(
-                network,
-                leader,
-                driver.phases,
-                driver.committees_per_phase,
-                report,
-            )
+            finish(network, leader, driver.ledger, report)
         }
         EngineMode::Synchronous => Err(CoreError::InvalidInput {
             reason: "run_runtime_star requires an asynchronous engine mode".into(),
@@ -1290,7 +859,7 @@ pub fn run_runtime_star_faulted(
     knobs: AsyncKnobs,
     faults: &FaultPlan,
 ) -> Result<TransformationOutcome, CoreError> {
-    validate(network, uids, "GraphToStar")?;
+    validate_input(network, uids, "GraphToStar")?;
     let initial = network.graph().clone();
     let n = initial.node_count();
     let mut actors = build_actors(n, uids, &initial);
@@ -1301,13 +870,7 @@ pub fn run_runtime_star_faulted(
             driver.step(net, acts)
         })?;
     let leader = driver.forest.leader(driver.forest.live_ids()[0]);
-    finish(
-        network,
-        leader,
-        driver.phases,
-        driver.committees_per_phase,
-        report,
-    )
+    finish(network, leader, driver.ledger, report)
 }
 
 /// Runs the wreath family (GraphToWreath / GraphToThinWreath, by
@@ -1334,7 +897,7 @@ pub fn run_runtime_wreath(
             &FaultPlan::default(),
         ),
         EngineMode::Free { threads } => {
-            validate(network, uids, wreath.name)?;
+            validate_input(network, uids, wreath.name)?;
             let initial = network.graph().clone();
             let n = initial.node_count();
             let mut actors = build_actors(n, uids, &initial);
@@ -1351,14 +914,11 @@ pub fn run_runtime_wreath(
                 &mut actors,
                 |net, acts, _phase| driver.step(net, acts),
             )?;
-            let leader = driver.forest.leader(driver.forest.live_ids()[0]);
-            finish(
-                network,
-                leader,
-                driver.phases,
-                driver.committees_per_phase,
-                report,
-            )
+            let leader = driver
+                .plan
+                .forest()
+                .leader(driver.plan.forest().live_ids()[0]);
+            finish(network, leader, driver.ledger, report)
         }
         EngineMode::Synchronous => Err(CoreError::InvalidInput {
             reason: "run_runtime_wreath requires an asynchronous engine mode".into(),
@@ -1383,7 +943,7 @@ pub fn run_runtime_wreath_faulted(
     knobs: AsyncKnobs,
     faults: &FaultPlan,
 ) -> Result<TransformationOutcome, CoreError> {
-    validate(network, uids, wreath.name)?;
+    validate_input(network, uids, wreath.name)?;
     let initial = network.graph().clone();
     let n = initial.node_count();
     let mut actors = build_actors(n, uids, &initial);
@@ -1400,14 +960,11 @@ pub fn run_runtime_wreath_faulted(
         .run_phased_with_faults(network, &mut actors, faults, |net, acts, _phase| {
             driver.step(net, acts)
         })?;
-    let leader = driver.forest.leader(driver.forest.live_ids()[0]);
-    finish(
-        network,
-        leader,
-        driver.phases,
-        driver.committees_per_phase,
-        report,
-    )
+    let leader = driver
+        .plan
+        .forest()
+        .leader(driver.plan.forest().live_ids()[0]);
+    finish(network, leader, driver.ledger, report)
 }
 
 #[cfg(test)]

@@ -1,11 +1,10 @@
 //! `LineToTree` on the asynchronous actor runtime.
 //!
-//! The wake-up variant in [`super::async_line_to_tree`] is still driven
-//! by a global round loop; this module removes the loop entirely. Every
-//! line position is an [`AsyncProgram`] actor that follows the same
-//! per-position jump schedule as the synchronous subroutine
-//! ([`super::async_line_to_tree::plan_sync_schedule`]) but learns about
-//! the world exclusively through messages:
+//! The executor in [`super::line_to_tree`] is driven by a global round
+//! loop; this module removes the loop entirely. Every line position is an
+//! [`AsyncProgram`] actor that follows the same per-position jump
+//! schedule (`line_to_tree::plan_sync_schedule`) but learns
+//! about the world exclusively through messages:
 //!
 //! * `Attach`/`Detach` maintain each node's child set (with a tombstone
 //!   for a detach that overtakes the matching attach in flight);
@@ -38,7 +37,7 @@
 //! differential suite (`tests/runtime_model.rs`) rechecks it against the
 //! synchronous subroutine.
 
-use crate::subroutines::async_line_to_tree::plan_sync_schedule;
+use crate::subroutines::line_to_tree::{plan_sync_schedule, validate_line};
 use crate::subroutines::LineToTreeConfig;
 use crate::CoreError;
 use adn_graph::{Edge, NodeId, RootedTree};
@@ -291,44 +290,6 @@ impl AsyncProgram for TreeActor {
     }
 }
 
-fn validate_line(network: &Network, line: &[NodeId], arity: usize) -> Result<(), CoreError> {
-    if line.is_empty() {
-        return Err(CoreError::InvalidInput {
-            reason: "line must contain at least one node".into(),
-        });
-    }
-    if arity == 0 {
-        return Err(CoreError::InvalidInput {
-            reason: "arity must be at least 1".into(),
-        });
-    }
-    let mut seen = line.to_vec();
-    seen.sort_unstable();
-    for w in seen.windows(2) {
-        if w[0] == w[1] {
-            return Err(CoreError::InvalidInput {
-                reason: format!("node {} appears twice in the line", w[0]),
-            });
-        }
-    }
-    if line.iter().any(|u| u.index() >= network.node_count()) {
-        return Err(CoreError::InvalidInput {
-            reason: "line refers to nodes outside the network".into(),
-        });
-    }
-    for w in line.windows(2) {
-        if !network.graph().has_edge(w[0], w[1]) {
-            return Err(CoreError::InvalidInput {
-                reason: format!(
-                    "consecutive line nodes {} and {} are not adjacent",
-                    w[0], w[1]
-                ),
-            });
-        }
-    }
-    Ok(())
-}
-
 /// Builds one actor per network node; nodes off the line are inert.
 fn build_actors(network: &Network, line: &[NodeId], config: &LineToTreeConfig) -> Vec<TreeActor> {
     let n = line.len();
@@ -408,7 +369,7 @@ pub fn run_runtime_line_to_tree_seeded(
     seed: u64,
     knobs: AsyncKnobs,
 ) -> Result<(RootedTree, RuntimeReport), CoreError> {
-    validate_line(network, line, config.arity)?;
+    validate_line(network, line, config.arity, &mut Vec::new())?;
     let mut actors = build_actors(network, line, config);
     let report = SeededScheduler::new(seed)
         .with_knobs(knobs)
@@ -429,7 +390,7 @@ pub fn run_runtime_line_to_tree_free(
     config: &LineToTreeConfig,
     threads: usize,
 ) -> Result<(RootedTree, RuntimeReport), CoreError> {
-    validate_line(network, line, config.arity)?;
+    validate_line(network, line, config.arity, &mut Vec::new())?;
     let mut actors = build_actors(network, line, config);
     let report = FreeScheduler::new(threads)
         .run(network, &mut actors)

@@ -52,8 +52,8 @@
 //! ```
 //!
 //! The pre-0.2 free functions (`run_graph_to_star`, `run_flooding`, …)
-//! remain available from the prelude but are deprecated in favour of the
-//! trait and the builder.
+//! are gone: run an algorithm by id through the builder, or through its
+//! [`core::algorithm::ReconfigurationAlgorithm`] impl.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -77,6 +77,7 @@ pub mod prelude {
         GraphToStar, GraphToThinWreath, GraphToWreath, ReconfigurationAlgorithm, RunConfig,
         TraceLevel,
     };
+    pub use adn_core::baselines::clique::run_clique_then_prune;
     pub use adn_core::committee::{CommitteeAdjacency, CommitteeForest, CommitteeId};
     pub use adn_core::graph_to_wreath::WreathConfig;
     pub use adn_core::tasks::{
@@ -92,21 +93,6 @@ pub mod prelude {
         find_scenario, scenarios, DstReport, FaultEvent, FaultRecord, Scenario, TargetPolicy,
     };
     pub use adn_sim::{EdgeMetrics, Network, RoundEvent};
-
-    // Deprecated pre-0.2 entry points, kept working for downstream code.
-    #[allow(deprecated)]
-    pub use adn_core::baselines::clique::run_clique_formation;
-    pub use adn_core::baselines::clique::run_clique_then_prune;
-    #[allow(deprecated)]
-    pub use adn_core::baselines::flooding::run_flooding;
-    #[allow(deprecated)]
-    pub use adn_core::centralized::{run_centralized_general, run_cut_in_half_on_line};
-    #[allow(deprecated)]
-    pub use adn_core::graph_to_star::run_graph_to_star;
-    #[allow(deprecated)]
-    pub use adn_core::graph_to_thin_wreath::run_graph_to_thin_wreath;
-    #[allow(deprecated)]
-    pub use adn_core::graph_to_wreath::run_graph_to_wreath;
 }
 
 #[cfg(test)]
@@ -135,15 +121,5 @@ mod tests {
         let report = outcome.runtime.expect("async runs carry a runtime report");
         assert_eq!(report.scheduler, "seeded");
         assert_eq!(report.in_flight_at_detection, 0);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_prelude_entry_points_still_work() {
-        let graph = generators::ring(16);
-        let uids = UidMap::new(16, UidAssignment::Sequential);
-        let outcome = run_graph_to_wreath(&graph, &uids).unwrap();
-        assert!(verify_leader_election(&outcome, &uids));
-        assert!(properties::is_tree(&outcome.final_graph));
     }
 }

@@ -108,38 +108,48 @@ fn clique_baseline_is_edge_inefficient_but_fast() {
 }
 
 #[test]
-#[allow(deprecated)]
-fn deprecated_run_functions_remain_working() {
-    // The acceptance criterion for the 0.2 API redesign: old entry points
-    // keep working (with deprecation warnings) on top of the trait impls.
+fn every_algorithm_reaches_its_target_through_the_builder() {
+    // One spanning line, every registered algorithm by id, each reaching
+    // its target network.
     let n = 48;
     let graph = generators::line(n);
     let uids = UidMap::new(n, UidAssignment::RandomPermutation { seed: 4 });
+    let run = |id: &str, config: RunConfig| {
+        Experiment::on(graph.clone())
+            .uid_map(uids.clone())
+            .algorithm(id)
+            .config(config)
+            .run()
+            .unwrap()
+    };
 
-    let star = run_graph_to_star(&graph, &uids).unwrap();
+    let star = run("graph_to_star", RunConfig::traced());
     assert!(properties::is_star(&star.final_graph));
 
-    let wreath = run_graph_to_wreath(&graph, &uids).unwrap();
+    let wreath = run("graph_to_wreath", RunConfig::default());
     assert!(properties::is_tree(&wreath.final_graph));
 
-    let thin = run_graph_to_thin_wreath(&graph, &uids).unwrap();
+    let thin = run("graph_to_thin_wreath", RunConfig::default());
     assert!(properties::is_tree(&thin.final_graph));
 
-    let clique = run_clique_formation(&graph, &uids).unwrap();
+    let clique = run("clique_formation", RunConfig::traced());
     assert_eq!(clique.final_graph.edge_count(), n * (n - 1) / 2);
 
-    let flood = run_flooding(&graph, &uids).unwrap();
+    let flood = run("flooding", RunConfig::default());
     assert!(flood.tokens_per_node.iter().all(|&t| t == n));
 
-    let central = run_centralized_general(&graph, &uids, true).unwrap();
+    let central = run(
+        "centralized_general",
+        RunConfig::default().with_centralized(CentralizedConfig::PruneToTree),
+    );
     assert!(properties::is_tree(&central.final_graph));
 
-    let order: Vec<NodeId> = (0..n).map(NodeId).collect();
-    let cut = run_cut_in_half_on_line(&graph, &order).unwrap();
+    let cut = run("centralized_cut_in_half", RunConfig::default());
     assert!(cut.metrics.total_activations <= n);
 
-    // All of the old outcomes agree with the new entry points.
-    let via_trait = GraphToStar
+    // The builder and the trait entry point agree.
+    let via_trait = find_algorithm("graph_to_star")
+        .unwrap()
         .run(&graph, &uids, &RunConfig::traced())
         .unwrap();
     assert_eq!(via_trait.rounds, star.rounds);

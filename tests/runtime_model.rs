@@ -12,9 +12,10 @@
 //!    in flight, across a seed sweep of adversarial delivery schedules —
 //!    including schedules where actors **crash mid-phase** with unacked
 //!    sends outstanding;
-//! 4. the committee algorithms (`GraphToStar`, `GraphToWreath`) reach the
-//!    synchronous engine's committee structures under both asynchronous
-//!    engines, on delay-free and adversarial schedules, across sizes.
+//! 4. the committee algorithms (`GraphToStar`, `GraphToWreath`,
+//!    `GraphToThinWreath`) reach the synchronous engine's committee
+//!    structures under both asynchronous engines, on delay-free and
+//!    adversarial schedules, across sizes and UID assignments.
 
 use actively_dynamic_networks::core::subroutines::{
     run_line_to_tree, run_runtime_line_to_tree_seeded, run_runtime_star_faulted,
@@ -140,42 +141,73 @@ fn committee_outcome(
     seed: u64,
     engine: EngineMode,
 ) -> TransformationOutcome {
+    committee_outcome_with_uids(
+        algorithm,
+        family,
+        n,
+        seed,
+        UidAssignment::Sequential,
+        engine,
+    )
+}
+
+fn committee_outcome_with_uids(
+    algorithm: &str,
+    family: GraphFamily,
+    n: usize,
+    seed: u64,
+    uids: UidAssignment,
+    engine: EngineMode,
+) -> TransformationOutcome {
     Experiment::family(family, n, seed)
+        .uids(uids)
         .algorithm(algorithm)
         .engine(engine)
         .run()
-        .unwrap_or_else(|e| panic!("{algorithm} on {family:?} n={n} under {engine:?}: {e}"))
+        .unwrap_or_else(|e| {
+            panic!("{algorithm} on {family:?} n={n} uids {uids:?} under {engine:?}: {e}")
+        })
+}
+
+/// Sync and seeded committee runs must agree on everything the committee
+/// structures determine.
+fn assert_same_committees(
+    sync: &TransformationOutcome,
+    seeded: &TransformationOutcome,
+    label: &str,
+) {
+    assert_eq!(seeded.leader, sync.leader, "{label}");
+    assert_eq!(seeded.final_graph, sync.final_graph, "{label}");
+    assert_eq!(seeded.phases, sync.phases, "{label}");
+    assert_eq!(
+        seeded.committees_per_phase, sync.committees_per_phase,
+        "{label}"
+    );
+    assert_eq!(
+        seeded
+            .runtime
+            .as_ref()
+            .expect("async runs carry a report")
+            .in_flight_at_detection,
+        0,
+        "{label}"
+    );
 }
 
 #[test]
 fn delay_free_async_committees_match_the_sync_engine() {
-    // The real tentpole gate: GraphToStar and GraphToWreath reconfigure
-    // heavily, and their committee bookkeeping (selection, merging,
-    // ring splicing) now runs message-driven. On delay-free schedules
-    // the asynchronous engines must land on exactly the synchronous
-    // committee structures — final graph, leader, phase count and the
-    // per-phase committee census.
-    for algorithm in ["graph_to_star", "graph_to_wreath"] {
+    // The real tentpole gate: the committee algorithms reconfigure
+    // heavily, and both engines run the same phase planners (selection,
+    // merging, ring splicing) — the asynchronous one between message
+    // barriers. On delay-free schedules the asynchronous engines must
+    // land on exactly the synchronous committee structures — final
+    // graph, leader, phase count and the per-phase committee census.
+    for algorithm in ["graph_to_star", "graph_to_wreath", "graph_to_thin_wreath"] {
         for (family, n) in COMMITTEE_CASES {
             let sync = committee_outcome(algorithm, family, n, 5, EngineMode::Synchronous);
             let seeded = committee_outcome(algorithm, family, n, 5, EngineMode::Seeded { seed: 0 });
             let label = format!("{algorithm} on {family:?} n={n}");
-            assert_eq!(seeded.leader, sync.leader, "{label}");
-            assert_eq!(seeded.final_graph, sync.final_graph, "{label}");
-            assert_eq!(seeded.phases, sync.phases, "{label}");
-            assert_eq!(
-                seeded.committees_per_phase, sync.committees_per_phase,
-                "{label}"
-            );
-            assert_eq!(
-                seeded
-                    .runtime
-                    .as_ref()
-                    .expect("async runs carry a report")
-                    .in_flight_at_detection,
-                0,
-                "{label}"
-            );
+            assert_same_committees(&sync, &seeded, &label);
             // The free engine is timing-nondeterministic but must still
             // produce the same committee structures (the decision rules
             // are order-independent). One size per algorithm keeps the
@@ -187,6 +219,27 @@ fn delay_free_async_committees_match_the_sync_engine() {
                 assert_eq!(
                     free.committees_per_phase, sync.committees_per_phase,
                     "{label} (free)"
+                );
+            }
+        }
+        // Sequential UIDs make every wreath phase 1 a single selection
+        // chain; random permutations give branching selection forests
+        // and multi-child group splices.
+        for (family, n) in [
+            (GraphFamily::Ring, 256),
+            (GraphFamily::Line, 512),
+            (GraphFamily::SparseRandom, 64),
+            (GraphFamily::BoundedDegreeConnected, 256),
+        ] {
+            for uid_seed in [1u64, 2, 3] {
+                let uids = UidAssignment::RandomPermutation { seed: uid_seed };
+                let run =
+                    |engine| committee_outcome_with_uids(algorithm, family, n, 5, uids, engine);
+                let label = format!("{algorithm} on {family:?} n={n} uid seed {uid_seed}");
+                assert_same_committees(
+                    &run(EngineMode::Synchronous),
+                    &run(EngineMode::Seeded { seed: 0 }),
+                    &label,
                 );
             }
         }
