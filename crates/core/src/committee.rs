@@ -51,7 +51,9 @@ impl std::fmt::Display for CommitteeId {
 /// Structure-of-arrays: `committee_of` maps every tracked node to its
 /// slot, `leader`/`members` are per-slot columns, and `live` is the
 /// sorted list of alive slots, maintained incrementally across merges so
-/// a phase never rescans the arena to find the survivors.
+/// a phase never rescans the arena to find the survivors. A phase's
+/// merges go through [`CommitteeForest::absorb_all`] or
+/// [`CommitteeForest::retire_all`], which prune `live` once per batch.
 ///
 /// The *member order* discipline is the caller's: GraphToStar appends in
 /// merge order (see [`CommitteeForest::absorb`] for why that order is
@@ -137,18 +139,35 @@ impl CommitteeForest {
         self.leader[self.committee_of[u.index()].index()]
     }
 
-    fn remove_live(&mut self, c: CommitteeId) {
-        let pos = self
-            .live
-            .binary_search(&c)
-            .expect("committee is alive exactly once");
-        self.live.remove(pos);
+    /// Drops `killed` slots that have just died from `live` in one pass:
+    /// entries from the first dead one (`first_dead`, the smallest killed
+    /// slot) up to the last dead one are compacted in place, and the
+    /// rest of the list moves down in one shift. A batch therefore costs
+    /// O(live) however many slots it kills, and a batch of one costs what
+    /// a single `Vec::remove` does.
+    fn drop_dead(&mut self, first_dead: CommitteeId, mut killed: usize) {
+        let start = self.live.partition_point(|&c| c < first_dead);
+        let (mut read, mut write) = (start, start);
+        while killed > 0 {
+            let c = self.live[read];
+            read += 1;
+            if self.alive[c.index()] {
+                self.live[write] = c;
+                write += 1;
+            } else {
+                killed -= 1;
+            }
+        }
+        let len = self.live.len();
+        self.live.copy_within(read.., write);
+        self.live.truncate(len - (read - write));
     }
 
     /// Merges committee `dying` into `absorbing`: the dying members are
     /// appended to the absorbing member list **in merge order** and
     /// re-homed; the absorbing committee keeps its leader and the dying
-    /// slot dies. GraphToStar's merge discipline.
+    /// slot dies. GraphToStar's merge discipline; a batch of one
+    /// [`CommitteeForest::absorb_all`].
     ///
     /// Member lists deliberately keep this concatenation order rather than
     /// being re-sorted: the order in which a committee's members stage
@@ -162,25 +181,45 @@ impl CommitteeForest {
     ///
     /// Panics if either slot is dead or the two are the same.
     pub fn absorb(&mut self, dying: CommitteeId, absorbing: CommitteeId) {
-        assert_ne!(dying, absorbing, "a committee cannot absorb itself");
-        assert!(self.alive[dying.index()], "dying committee must be alive");
-        assert!(
-            self.alive[absorbing.index()],
-            "absorbing committee must be alive"
-        );
-        let incoming = std::mem::take(&mut self.members[dying.index()]);
-        for &u in &incoming {
-            self.committee_of[u.index()] = absorbing;
+        self.absorb_all(&[(dying, absorbing)]);
+    }
+
+    /// Applies a phase's `(dying, absorbing)` merges in the given order —
+    /// exactly as that sequence of [`CommitteeForest::absorb`] calls
+    /// would, member order included — but removes the dead slots from the
+    /// live list in one pass at the end, so the phase costs O(live +
+    /// moved members) instead of O(merges · live).
+    ///
+    /// # Panics
+    ///
+    /// Panics, like `absorb`, on a merge whose slots are the same or dead
+    /// by then — an absorbing slot that died earlier in the batch
+    /// included. The forest is left mid-batch.
+    pub fn absorb_all(&mut self, merges: &[(CommitteeId, CommitteeId)]) {
+        let Some(first_dead) = merges.iter().map(|&(dying, _)| dying).min() else {
+            return;
+        };
+        for &(dying, absorbing) in merges {
+            assert_ne!(dying, absorbing, "a committee cannot absorb itself");
+            assert!(self.alive[dying.index()], "dying committee must be alive");
+            assert!(
+                self.alive[absorbing.index()],
+                "absorbing committee must be alive"
+            );
+            let incoming = std::mem::take(&mut self.members[dying.index()]);
+            for &u in &incoming {
+                self.committee_of[u.index()] = absorbing;
+            }
+            self.members[absorbing.index()].extend(incoming);
+            self.alive[dying.index()] = false;
         }
-        self.members[absorbing.index()].extend(incoming);
-        self.alive[dying.index()] = false;
-        self.remove_live(dying);
+        self.drop_dead(first_dead, merges.len());
     }
 
     /// Replaces the member list of committee `c` wholesale (the wreath
     /// engine installs the freshly merged ring this way) and re-homes every
     /// listed node to `c`. Slots whose members were taken over must be
-    /// retired separately with [`CommitteeForest::retire`].
+    /// retired separately with [`CommitteeForest::retire_all`].
     ///
     /// # Panics
     ///
@@ -196,16 +235,34 @@ impl CommitteeForest {
 
     /// Marks committee `c` dead without touching `committee_of` — its
     /// members must already have been re-homed (by
-    /// [`CommitteeForest::replace_members`] on the absorbing slot).
+    /// [`CommitteeForest::replace_members`] on the absorbing slot). A
+    /// batch of one [`CommitteeForest::retire_all`].
     ///
     /// # Panics
     ///
     /// Panics if `c` is already dead.
     pub fn retire(&mut self, c: CommitteeId) {
-        assert!(self.alive[c.index()], "committee retired twice");
-        self.alive[c.index()] = false;
-        self.members[c.index()].clear();
-        self.remove_live(c);
+        self.retire_all(&[c]);
+    }
+
+    /// Retires every committee in `dead` (in any order), removing them
+    /// from the live list in one pass: O(live) per batch rather than
+    /// O(live) per retired committee.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a listed slot is already dead (or listed twice). The
+    /// forest is left mid-batch.
+    pub fn retire_all(&mut self, dead: &[CommitteeId]) {
+        let Some(&first_dead) = dead.iter().min() else {
+            return;
+        };
+        for &c in dead {
+            assert!(self.alive[c.index()], "committee retired twice");
+            self.alive[c.index()] = false;
+            self.members[c.index()].clear();
+        }
+        self.drop_dead(first_dead, dead.len());
     }
 
     /// Builds the committee adjacency of the current `graph`: for each

@@ -550,8 +550,8 @@ impl WreathPlanner {
             .copied()
             .filter(|c| self.selected[c.index()].is_some())
             .collect();
+        self.forest.retire_all(&dead);
         for c in dead {
-            self.forest.retire(c);
             self.tree_edges[c.index()].clear();
             self.tree_depth[c.index()] = 0;
         }

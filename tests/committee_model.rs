@@ -109,6 +109,58 @@ fn assert_same_partition(forest: &CommitteeForest, model: &ModelPartition, ctx: 
     }
 }
 
+/// The batched merges must leave the forest exactly as the same merges
+/// applied one at a time: same live list, and for every slot the same
+/// liveness, leader and member order, and for every node the same slot.
+fn assert_same_forest(batched: &CommitteeForest, single: &CommitteeForest, ctx: &str) {
+    assert_eq!(batched.live_ids(), single.live_ids(), "{ctx}: live_ids");
+    assert_eq!(batched.slot_count(), single.slot_count(), "{ctx}: slots");
+    for i in 0..single.slot_count() {
+        let c = CommitteeId(i);
+        assert_eq!(batched.is_alive(c), single.is_alive(c), "{ctx}: alive {c}");
+        assert_eq!(batched.leader(c), single.leader(c), "{ctx}: leader of {c}");
+        assert_eq!(
+            batched.members(c),
+            single.members(c),
+            "{ctx}: members of {c} (order included)"
+        );
+    }
+    for u in 0..single.tracked_nodes() {
+        assert_eq!(
+            batched.committee_of(NodeId(u)),
+            single.committee_of(NodeId(u)),
+            "{ctx}: committee of node {u}"
+        );
+    }
+}
+
+/// A random batch of up to `max` merges over the live committees, valid
+/// when applied in order: each pair's slots are distinct and still alive
+/// at its turn. Chains are allowed — a slot may absorb and later die in
+/// the same batch, as GraphToStar's climbs produce.
+fn random_merge_batch(
+    forest: &CommitteeForest,
+    rng: &mut DetRng,
+    max: usize,
+) -> Vec<(CommitteeId, CommitteeId)> {
+    let live = forest.live_ids();
+    let mut dead_in_batch: Vec<CommitteeId> = Vec::new();
+    let mut batch = Vec::new();
+    for _ in 0..max {
+        if live.len() - dead_in_batch.len() < 2 {
+            break;
+        }
+        let a = live[rng.gen_range(0, live.len())];
+        let b = live[rng.gen_range(0, live.len())];
+        if a == b || dead_in_batch.contains(&a) || dead_in_batch.contains(&b) {
+            continue;
+        }
+        batch.push((a, b));
+        dead_in_batch.push(a);
+    }
+    batch
+}
+
 fn assert_same_adjacency(
     forest: &CommitteeForest,
     model: &ModelPartition,
@@ -151,12 +203,23 @@ fn forest_matches_btreemap_model_under_seeded_merge_sequences() {
         let mut graph = generators::random_line_with_chords(n, n / 2, seed);
         let mut forest = CommitteeForest::singletons(n);
         let mut model = ModelPartition::new(n);
+        // The same merges, applied one `absorb` at a time.
+        let mut single = CommitteeForest::singletons(n);
         // Churned-in nodes beyond the tracked set must stay invisible.
         let joined = graph.add_node();
         graph.add_edge(NodeId(0), joined).unwrap();
 
         for step in 0..60 {
-            match rng.gen_range(0, 10) {
+            match rng.gen_range(0, 12) {
+                10..=11 => {
+                    // A phase's worth of merges in one `absorb_all`.
+                    let batch = random_merge_batch(&forest, &mut rng, 5);
+                    forest.absorb_all(&batch);
+                    for &(a, b) in &batch {
+                        single.absorb(a, b);
+                        model.absorb(NodeId(a.index()), NodeId(b.index()));
+                    }
+                }
                 0..=5 => {
                     // Merge two distinct live committees.
                     if forest.live_count() < 2 {
@@ -169,6 +232,7 @@ fn forest_matches_btreemap_model_under_seeded_merge_sequences() {
                         continue;
                     }
                     forest.absorb(a, b);
+                    single.absorb(a, b);
                     model.absorb(NodeId(a.index()), NodeId(b.index()));
                 }
                 6..=7 => {
@@ -188,12 +252,14 @@ fn forest_matches_btreemap_model_under_seeded_merge_sequences() {
                     let ctx = format!("seed {seed} step {step}");
                     assert_same_partition(&forest, &model, &ctx);
                     assert_same_adjacency(&forest, &model, &graph, &ctx);
+                    assert_same_forest(&forest, &single, &ctx);
                 }
             }
         }
         let ctx = format!("seed {seed} final");
         assert_same_partition(&forest, &model, &ctx);
         assert_same_adjacency(&forest, &model, &graph, &ctx);
+        assert_same_forest(&forest, &single, &ctx);
     }
 }
 
@@ -201,52 +267,93 @@ fn forest_matches_btreemap_model_under_seeded_merge_sequences() {
 fn replace_members_and_retire_match_wholesale_rebuild_semantics() {
     // The wreath engine's merge: roots take over the spliced ring
     // (arbitrary order), children retire. The model rebuilds its map the
-    // way the old code built `next_committees`.
+    // way the old code built `next_committees`. Each round merges up to
+    // three disjoint groups and retires their children either one at a
+    // time or in one `retire_all` (the engine's per-phase batch); a
+    // mirror forest always takes the one-at-a-time path.
     for seed in 0u64..6 {
         let mut rng = DetRng::seed_from_u64(0x11EA7 ^ seed.wrapping_mul(131));
         let n = 6 + rng.gen_range(0, 19);
         let mut forest = CommitteeForest::singletons(n);
+        let mut single = CommitteeForest::singletons(n);
         let mut model = ModelPartition::new(n);
         while forest.live_count() > 1 {
-            // Pick a root and a few children, splice their members in an
-            // interleaved (ring-like, unsorted) order.
             let live = forest.live_ids().to_vec();
-            let root = live[rng.gen_range(0, live.len())];
-            let mut children: Vec<CommitteeId> = Vec::new();
+            let mut used: Vec<CommitteeId> = Vec::new();
+            let mut dead: Vec<CommitteeId> = Vec::new();
             for _ in 0..(1 + rng.gen_range(0, 3)) {
-                let c = live[rng.gen_range(0, live.len())];
-                if c != root && !children.contains(&c) {
-                    children.push(c);
+                // Pick a root and a few children, splice their members in
+                // an interleaved (ring-like, unsorted) order.
+                let root = live[rng.gen_range(0, live.len())];
+                if used.contains(&root) {
+                    continue;
+                }
+                used.push(root);
+                let mut children: Vec<CommitteeId> = Vec::new();
+                for _ in 0..(1 + rng.gen_range(0, 3)) {
+                    let c = live[rng.gen_range(0, live.len())];
+                    if !used.contains(&c) {
+                        used.push(c);
+                        children.push(c);
+                    }
+                }
+                if children.is_empty() {
+                    continue;
+                }
+                let mut ring: Vec<NodeId> = forest.members(root).to_vec();
+                for &c in &children {
+                    let members = forest.members(c);
+                    // Insert child members at a pseudo-random cut point.
+                    let cut = rng.gen_range(0, ring.len());
+                    let mut spliced = ring[..=cut].to_vec();
+                    spliced.extend_from_slice(members);
+                    spliced.extend_from_slice(&ring[cut + 1..]);
+                    ring = spliced;
+                }
+                forest.replace_members(root, ring.clone());
+                single.replace_members(root, ring.clone());
+                let root_leader = NodeId(root.index());
+                for &c in &children {
+                    model.committees.remove(&NodeId(c.index()));
+                }
+                model.committees.insert(root_leader, ring.clone());
+                for &u in &ring {
+                    model.committee_of[u.index()] = root_leader;
+                }
+                dead.extend(children);
+            }
+            if rng.gen_bool(0.5) {
+                forest.retire_all(&dead);
+            } else {
+                for &c in &dead {
+                    forest.retire(c);
                 }
             }
-            if children.is_empty() {
-                continue;
+            for &c in &dead {
+                single.retire(c);
             }
-            let mut ring: Vec<NodeId> = forest.members(root).to_vec();
-            for &c in &children {
-                let members = forest.members(c);
-                // Insert child members at a pseudo-random cut point.
-                let cut = rng.gen_range(0, ring.len());
-                let mut spliced = ring[..=cut].to_vec();
-                spliced.extend_from_slice(members);
-                spliced.extend_from_slice(&ring[cut + 1..]);
-                ring = spliced;
-            }
-            forest.replace_members(root, ring.clone());
-            for &c in &children {
-                forest.retire(c);
-            }
-            let root_leader = NodeId(root.index());
-            for &c in &children {
-                model.committees.remove(&NodeId(c.index()));
-            }
-            model.committees.insert(root_leader, ring.clone());
-            for &u in &ring {
-                model.committee_of[u.index()] = root_leader;
-            }
-            assert_same_partition(&forest, &model, &format!("seed {seed}"));
+            let ctx = format!("seed {seed}");
+            assert_same_partition(&forest, &model, &ctx);
+            assert_same_forest(&forest, &single, &ctx);
         }
     }
+}
+
+#[test]
+#[should_panic(expected = "absorbing committee must be alive")]
+fn absorb_all_rejects_an_absorbing_slot_that_died_earlier_in_the_batch() {
+    let mut forest = CommitteeForest::singletons(4);
+    forest.absorb_all(&[
+        (CommitteeId(1), CommitteeId(2)),
+        (CommitteeId(3), CommitteeId(1)),
+    ]);
+}
+
+#[test]
+#[should_panic(expected = "committee retired twice")]
+fn retire_all_rejects_a_slot_listed_twice() {
+    let mut forest = CommitteeForest::singletons(4);
+    forest.retire_all(&[CommitteeId(2), CommitteeId(0), CommitteeId(2)]);
 }
 
 #[test]
