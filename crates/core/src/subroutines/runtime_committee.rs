@@ -23,6 +23,15 @@
 //!    per-level splice rounds), each planned by a deterministic driver
 //!    between barriers and carried out by the owning actors.
 //!
+//! A barrier starts only the driver's **start set** — the actors with
+//! work in it — so it costs O(started + messages + acks) deliveries, not
+//! O(n): gossip and report start every live member, the decide steps
+//! start the leaders, the star's hop and deactivation steps start the
+//! actors holding a pending hop or deactivation, and an execution barrier
+//! starts the distinct initiators of its planned operations. A wreath
+//! phase with a long selection chain runs Θ(n) splice barriers, so
+//! starting every actor at each barrier would cost Θ(n²) deliveries.
+//!
 //! The driver is plain in-process orchestration state: it runs *between*
 //! barriers, never inside the asynchronous execution, and executes the
 //! shared planner of the synchronous engine — the wreath's
@@ -39,7 +48,7 @@
 //! actor-based [`runtime_line_to_tree`](super::runtime_line_to_tree)
 //! subroutine, nested under the same scheduler family (seeded sub-seeds
 //! are split deterministically from the master seed, so seeded replay
-//! stays byte-identical).
+//! stays byte-identical); a nested run starts only the line's actors.
 //!
 //! **Armed faults:** the seeded entry points accept a
 //! [`FaultPlan`]; crashes sever a node mid-run and the protocols then
@@ -275,11 +284,8 @@ impl AsyncProgram for CommitteeActor {
                     ctx.send(self.leader, CommitteeMsg::Report { bridges });
                 }
             }
-            Mini::StarDecide => {
-                if ctx.id() == self.leader {
-                    self.star_decide(ctx);
-                }
-            }
+            // The decide steps start only the leaders.
+            Mini::StarDecide => self.star_decide(ctx),
             Mini::StarHopB => {
                 if let Some((v, helper)) = self.pending_b.take() {
                     ctx.activate(v);
@@ -295,11 +301,7 @@ impl AsyncProgram for CommitteeActor {
                     ctx.deactivate(p);
                 }
             }
-            Mini::WreathDecide => {
-                if ctx.id() == self.leader {
-                    self.selection = self.decide_selection(ctx.id(), false);
-                }
-            }
+            Mini::WreathDecide => self.selection = self.decide_selection(ctx.id(), false),
             Mini::Exec => {
                 for p in mem::take(&mut self.assigned_acts) {
                     ctx.activate(p);
@@ -346,66 +348,100 @@ fn build_actors(n: usize, uids: &UidMap, initial: &Graph) -> Vec<CommitteeActor>
         .collect()
 }
 
-/// Feeds every committee member its phase inputs and arms the gossip
-/// mini-phase. All nodes belong to some live committee, so this covers
-/// the whole actor array.
-fn prep_gossip<F: Fn(CommitteeId) -> Mode>(
-    forest: &CommitteeForest,
-    network: &Network,
-    actors: &mut [CommitteeActor],
-    mode_of: F,
-) {
-    let graph = network.graph();
-    for &cid in forest.live_ids() {
-        let leader = forest.leader(cid);
-        let mode = mode_of(cid);
-        for &m in forest.members(cid) {
-            if m.index() >= actors.len() {
-                continue;
+/// Who each barrier starts: the driver arms a mini-phase only on the
+/// actors that have work in it and lists exactly those in the scheduler's
+/// start set, so a barrier costs O(started + messages + acks), not O(n).
+#[derive(Debug, Default)]
+struct Roster {
+    /// This phase's live committee members (the gossip and report set).
+    members: Vec<NodeId>,
+    /// This phase's committee leaders (the decide set).
+    leaders: Vec<NodeId>,
+    /// The actors the last [`assign_ops`](Self::assign_ops) armed — the
+    /// only ones that can still hold assigned operations.
+    armed: Vec<NodeId>,
+}
+
+impl Roster {
+    /// Feeds every live committee member its phase inputs, records the
+    /// phase's members and leaders, and starts the gossip mini-phase on
+    /// all members.
+    fn prep_gossip<F: Fn(CommitteeId) -> Mode>(
+        &mut self,
+        forest: &CommitteeForest,
+        network: &Network,
+        actors: &mut [CommitteeActor],
+        start: &mut Vec<NodeId>,
+        mode_of: F,
+    ) {
+        let graph = network.graph();
+        self.members.clear();
+        self.leaders.clear();
+        for &cid in forest.live_ids() {
+            let leader = forest.leader(cid);
+            let mode = mode_of(cid);
+            for &m in forest.members(cid) {
+                if m.index() >= actors.len() {
+                    continue;
+                }
+                let a = &mut actors[m.index()];
+                a.clear_phase_state();
+                a.leader = leader;
+                a.mode = mode;
+                a.neighbors.clear();
+                a.neighbors.extend_from_slice(graph.neighbors_slice(m));
+                self.members.push(m);
             }
-            let a = &mut actors[m.index()];
-            a.clear_phase_state();
-            a.leader = leader;
-            a.mode = mode;
-            a.neighbors.clear();
-            a.neighbors.extend_from_slice(graph.neighbors_slice(m));
-            a.mini = Mini::Gossip;
+            if leader.index() < actors.len() {
+                actors[leader.index()].members = forest.members(cid).to_vec();
+                self.leaders.push(leader);
+            }
         }
-        if leader.index() < actors.len() {
-            actors[leader.index()].members = forest.members(cid).to_vec();
+        arm(actors, start, &self.members, Mini::Gossip);
+    }
+
+    /// Hands a pre-planned operation list to its owning actors and starts
+    /// one execution barrier on the distinct initiators (all guards were
+    /// evaluated by the driver against the snapshot the synchronous
+    /// engine would have used).
+    fn assign_ops(
+        &mut self,
+        actors: &mut [CommitteeActor],
+        start: &mut Vec<NodeId>,
+        acts: &[(NodeId, NodeId)],
+        deacts: &[(NodeId, NodeId)],
+    ) {
+        for &v in &self.armed {
+            let a = &mut actors[v.index()];
+            a.assigned_acts.clear();
+            a.assigned_deacts.clear();
         }
+        self.armed.clear();
+        for (ops, is_act) in [(acts, true), (deacts, false)] {
+            for &(v, peer) in ops {
+                let Some(a) = actors.get_mut(v.index()) else {
+                    continue;
+                };
+                if a.assigned_acts.is_empty() && a.assigned_deacts.is_empty() {
+                    self.armed.push(v);
+                }
+                if is_act {
+                    a.assigned_acts.push(peer);
+                } else {
+                    a.assigned_deacts.push(peer);
+                }
+            }
+        }
+        arm(actors, start, &self.armed, Mini::Exec);
     }
 }
 
-fn set_mini(actors: &mut [CommitteeActor], mini: Mini) {
-    for a in actors.iter_mut() {
-        a.mini = mini;
+/// Arms `mini` on `nodes` and lists them in the barrier's start set.
+fn arm(actors: &mut [CommitteeActor], start: &mut Vec<NodeId>, nodes: &[NodeId], mini: Mini) {
+    for &v in nodes {
+        actors[v.index()].mini = mini;
     }
-}
-
-/// Hands a pre-planned operation list to its owning actors and arms one
-/// execution barrier (all guards were evaluated by the driver against
-/// the snapshot the synchronous engine would have used).
-fn assign_ops(
-    actors: &mut [CommitteeActor],
-    acts: &[(NodeId, NodeId)],
-    deacts: &[(NodeId, NodeId)],
-) {
-    for a in actors.iter_mut() {
-        a.assigned_acts.clear();
-        a.assigned_deacts.clear();
-        a.mini = Mini::Exec;
-    }
-    for &(a, b) in acts {
-        if a.index() < actors.len() {
-            actors[a.index()].assigned_acts.push(b);
-        }
-    }
-    for &(a, b) in deacts {
-        if a.index() < actors.len() {
-            actors[a.index()].assigned_deacts.push(b);
-        }
-    }
+    start.extend_from_slice(nodes);
 }
 
 // ---------------------------------------------------------------------------
@@ -433,6 +469,7 @@ struct StarDriver<'a> {
     mode: Vec<Mode>,
     ledger: PhaseLedger,
     stage: StarStage,
+    roster: Roster,
 }
 
 impl<'a> StarDriver<'a> {
@@ -444,15 +481,18 @@ impl<'a> StarDriver<'a> {
             mode: vec![Mode::Selection; n],
             ledger: phase_ledger(n),
             stage: StarStage::Begin,
+            roster: Roster::default(),
         }
     }
 
-    /// Called by the scheduler before every mini-phase. Returns `false`
-    /// when the protocol has quiesced.
+    /// Called by the scheduler before every mini-phase; lists the actors
+    /// the mini-phase starts in `start`. Returns `false` when the protocol
+    /// has quiesced.
     fn step(
         &mut self,
         network: &mut Network,
         actors: &mut [CommitteeActor],
+        start: &mut Vec<NodeId>,
     ) -> Result<bool, CoreError> {
         loop {
             match self.stage {
@@ -460,7 +500,7 @@ impl<'a> StarDriver<'a> {
                     if self.forest.live_count() <= 1 {
                         if self.n > 1 {
                             self.run.check_round_budget(network)?;
-                            self.prep_termination(network, actors);
+                            self.prep_termination(network, actors, start);
                             self.ledger.terminate();
                             self.stage = StarStage::Done;
                             return Ok(true);
@@ -471,27 +511,45 @@ impl<'a> StarDriver<'a> {
                     self.ledger
                         .open(self.run, network, self.forest.live_count())?;
                     let mode = &self.mode;
-                    prep_gossip(&self.forest, network, actors, |cid| mode[cid.index()]);
+                    self.roster
+                        .prep_gossip(&self.forest, network, actors, start, |cid| {
+                            mode[cid.index()]
+                        });
                     self.stage = StarStage::Gossip;
                     return Ok(true);
                 }
                 StarStage::Gossip => {
-                    set_mini(actors, Mini::Report);
+                    arm(actors, start, &self.roster.members, Mini::Report);
                     self.stage = StarStage::Report;
                     return Ok(true);
                 }
                 StarStage::Report => {
-                    set_mini(actors, Mini::StarDecide);
+                    arm(actors, start, &self.roster.leaders, Mini::StarDecide);
                     self.stage = StarStage::Decide;
                     return Ok(true);
                 }
                 StarStage::Decide => {
-                    set_mini(actors, Mini::StarHopB);
+                    // Only leaders decide, so only they can hold a hop.
+                    let hop: Vec<NodeId> = self
+                        .roster
+                        .leaders
+                        .iter()
+                        .copied()
+                        .filter(|v| actors[v.index()].pending_b.is_some())
+                        .collect();
+                    arm(actors, start, &hop, Mini::StarHopB);
                     self.stage = StarStage::HopB;
                     return Ok(true);
                 }
                 StarStage::HopB => {
-                    set_mini(actors, Mini::Deact);
+                    let deact: Vec<NodeId> = self
+                        .roster
+                        .members
+                        .iter()
+                        .copied()
+                        .filter(|v| !actors[v.index()].pending_deacts.is_empty())
+                        .collect();
+                    arm(actors, start, &deact, Mini::Deact);
                     self.stage = StarStage::Deact;
                     return Ok(true);
                 }
@@ -506,7 +564,12 @@ impl<'a> StarDriver<'a> {
 
     /// The synchronous termination phase: deactivate every non-star edge,
     /// each assigned to its first endpoint.
-    fn prep_termination(&self, network: &Network, actors: &mut [CommitteeActor]) {
+    fn prep_termination(
+        &mut self,
+        network: &Network,
+        actors: &mut [CommitteeActor],
+        start: &mut Vec<NodeId>,
+    ) {
         let leader = self.forest.leader(self.forest.live_ids()[0]);
         let deacts: Vec<(NodeId, NodeId)> = network
             .graph()
@@ -514,7 +577,7 @@ impl<'a> StarDriver<'a> {
             .filter(|e| e.a != leader && e.b != leader)
             .map(|e| (e.a, e.b))
             .collect();
-        assign_ops(actors, &[], &deacts);
+        self.roster.assign_ops(actors, start, &[], &deacts);
     }
 
     /// Bookkeeping after the deactivation barrier: harvest the leaders'
@@ -606,6 +669,7 @@ struct WreathDriver<'a> {
     level: SpliceLevel,
     /// Its round-B deactivations, planned on the post-round-A snapshot.
     deacts_c: Vec<(NodeId, NodeId)>,
+    roster: Roster,
 }
 
 impl<'a> WreathDriver<'a> {
@@ -629,6 +693,7 @@ impl<'a> WreathDriver<'a> {
             stage: WreathStage::Begin,
             level: SpliceLevel::default(),
             deacts_c: Vec::new(),
+            roster: Roster::default(),
         }
     }
 
@@ -636,6 +701,7 @@ impl<'a> WreathDriver<'a> {
         &mut self,
         network: &mut Network,
         actors: &mut [CommitteeActor],
+        start: &mut Vec<NodeId>,
     ) -> Result<bool, CoreError> {
         loop {
             match self.stage {
@@ -650,7 +716,7 @@ impl<'a> WreathDriver<'a> {
                                 .filter(|e| !keep.contains(e))
                                 .map(|e| (e.a, e.b))
                                 .collect();
-                            assign_ops(actors, &[], &deacts);
+                            self.roster.assign_ops(actors, start, &[], &deacts);
                             self.ledger.terminate();
                             self.stage = WreathStage::Done;
                             return Ok(true);
@@ -660,17 +726,20 @@ impl<'a> WreathDriver<'a> {
                     }
                     self.ledger
                         .open(self.run, network, self.plan.forest().live_count())?;
-                    prep_gossip(self.plan.forest(), network, actors, |_| Mode::Selection);
+                    self.roster
+                        .prep_gossip(self.plan.forest(), network, actors, start, |_| {
+                            Mode::Selection
+                        });
                     self.stage = WreathStage::Gossip;
                     return Ok(true);
                 }
                 WreathStage::Gossip => {
-                    set_mini(actors, Mini::Report);
+                    arm(actors, start, &self.roster.members, Mini::Report);
                     self.stage = WreathStage::Report;
                     return Ok(true);
                 }
                 WreathStage::Report => {
-                    set_mini(actors, Mini::WreathDecide);
+                    arm(actors, start, &self.roster.leaders, Mini::WreathDecide);
                     self.stage = WreathStage::Decide;
                     return Ok(true);
                 }
@@ -705,7 +774,7 @@ impl<'a> WreathDriver<'a> {
                             self.stage = WreathStage::Begin;
                             continue;
                         }
-                        assign_ops(actors, &[], &cleanup);
+                        self.roster.assign_ops(actors, start, &[], &cleanup);
                         self.stage = WreathStage::Cleanup;
                         return Ok(true);
                     };
@@ -713,7 +782,7 @@ impl<'a> WreathDriver<'a> {
                         .round_a(network.graph())
                         .map(|w| (w.initiator, w.target))
                         .collect();
-                    assign_ops(actors, &acts_a, &[]);
+                    self.roster.assign_ops(actors, start, &acts_a, &[]);
                     self.level = level;
                     self.stage = WreathStage::LevelA;
                     return Ok(true);
@@ -730,12 +799,12 @@ impl<'a> WreathDriver<'a> {
                     self.deacts_c.clear();
                     self.deacts_c
                         .extend(self.level.round_b_drops(graph, self.initial));
-                    assign_ops(actors, &acts_b, &[]);
+                    self.roster.assign_ops(actors, start, &acts_b, &[]);
                     self.stage = WreathStage::LevelB;
                     return Ok(true);
                 }
                 WreathStage::LevelB => {
-                    assign_ops(actors, &[], &self.deacts_c);
+                    self.roster.assign_ops(actors, start, &[], &self.deacts_c);
                     self.stage = WreathStage::LevelC;
                     return Ok(true);
                 }
@@ -832,7 +901,7 @@ pub fn run_runtime_star(
             let report = FreeScheduler::new(threads).run_phased(
                 network,
                 &mut actors,
-                |net, acts, _phase| driver.step(net, acts),
+                |net, acts, start, _phase| driver.step(net, acts, start),
             )?;
             let leader = driver.forest.leader(driver.forest.live_ids()[0]);
             finish(network, leader, driver.ledger, report)
@@ -866,8 +935,8 @@ pub fn run_runtime_star_faulted(
     let mut driver = StarDriver::new(config, n);
     let report = SeededScheduler::new(seed)
         .with_knobs(knobs)
-        .run_phased_with_faults(network, &mut actors, faults, |net, acts, _phase| {
-            driver.step(net, acts)
+        .run_phased_with_faults(network, &mut actors, faults, |net, acts, start, _phase| {
+            driver.step(net, acts, start)
         })?;
     let leader = driver.forest.leader(driver.forest.live_ids()[0]);
     finish(network, leader, driver.ledger, report)
@@ -912,7 +981,7 @@ pub fn run_runtime_wreath(
             let report = FreeScheduler::new(threads).run_phased(
                 network,
                 &mut actors,
-                |net, acts, _phase| driver.step(net, acts),
+                |net, acts, start, _phase| driver.step(net, acts, start),
             )?;
             let leader = driver
                 .plan
@@ -957,8 +1026,8 @@ pub fn run_runtime_wreath_faulted(
     );
     let report = SeededScheduler::new(seed)
         .with_knobs(knobs)
-        .run_phased_with_faults(network, &mut actors, faults, |net, acts, _phase| {
-            driver.step(net, acts)
+        .run_phased_with_faults(network, &mut actors, faults, |net, acts, start, _phase| {
+            driver.step(net, acts, start)
         })?;
     let leader = driver
         .plan

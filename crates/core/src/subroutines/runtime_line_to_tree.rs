@@ -42,7 +42,7 @@ use crate::subroutines::LineToTreeConfig;
 use crate::CoreError;
 use adn_graph::{Edge, NodeId, RootedTree};
 use adn_runtime::{
-    AsyncKnobs, AsyncProgram, Context, FreeScheduler, RuntimeReport, SeededScheduler,
+    AsyncKnobs, AsyncProgram, Context, FreeScheduler, RuntimeError, RuntimeReport, SeededScheduler,
 };
 use adn_sim::Network;
 use std::sync::Arc;
@@ -342,9 +342,24 @@ fn harvest(actors: &[TreeActor], n: usize) -> Result<RootedTree, CoreError> {
     })
 }
 
-fn map_runtime_err(e: adn_runtime::RuntimeError) -> CoreError {
+/// A one-phase driver that starts only the line's actors: the inert
+/// actors off the line are never started, so a rebuild nested in a large
+/// network costs what the line's own run costs.
+fn start_line(
+    line: &[NodeId],
+) -> impl FnMut(&mut Network, &mut [TreeActor], &mut Vec<NodeId>, usize) -> Result<bool, RuntimeError> + '_
+{
+    |_, _, start, phase| {
+        if phase == 0 {
+            start.extend_from_slice(line);
+        }
+        Ok(phase == 0)
+    }
+}
+
+fn map_runtime_err(e: RuntimeError) -> CoreError {
     match e {
-        adn_runtime::RuntimeError::Sim(sim) => CoreError::Sim(sim),
+        RuntimeError::Sim(sim) => CoreError::Sim(sim),
         other => CoreError::BrokenInvariant {
             algorithm: "RuntimeLineToTree",
             detail: other.to_string(),
@@ -373,7 +388,7 @@ pub fn run_runtime_line_to_tree_seeded(
     let mut actors = build_actors(network, line, config);
     let report = SeededScheduler::new(seed)
         .with_knobs(knobs)
-        .run(network, &mut actors)
+        .run_phased(network, &mut actors, start_line(line))
         .map_err(map_runtime_err)?;
     Ok((harvest(&actors, line.len())?, report))
 }
@@ -393,7 +408,7 @@ pub fn run_runtime_line_to_tree_free(
     validate_line(network, line, config.arity, &mut Vec::new())?;
     let mut actors = build_actors(network, line, config);
     let report = FreeScheduler::new(threads)
-        .run(network, &mut actors)
+        .run_phased(network, &mut actors, start_line(line))
         .map_err(map_runtime_err)?;
     Ok((harvest(&actors, line.len())?, report))
 }
@@ -589,6 +604,36 @@ mod tests {
         .unwrap();
         for e in g.edges() {
             assert!(net.graph().has_edge(e.a, e.b));
+        }
+    }
+
+    #[test]
+    fn nested_runs_start_only_the_line() {
+        // A rebuild nested in a large network starts only the line's
+        // actors: it costs exactly what the same line costs as a network
+        // of its own, and builds the same tree.
+        let config = LineToTreeConfig::binary();
+        let line: Vec<NodeId> = (1000..1032).map(NodeId).collect();
+        let knob_sets = [
+            AsyncKnobs::default(),
+            AsyncKnobs {
+                reorder_window: 3,
+                max_link_delay: 2,
+                asymmetric_delay: false,
+            },
+        ];
+        for knobs in knob_sets {
+            let mut big = Network::new(generators::line(4096));
+            let (tree, report) =
+                run_runtime_line_to_tree_seeded(&mut big, &line, &config, 5, knobs).unwrap();
+            let mut own = Network::new(generators::line(32));
+            let (own_tree, own_report) =
+                run_runtime_line_to_tree_seeded(&mut own, &identity_line(32), &config, 5, knobs)
+                    .unwrap();
+            assert_eq!(tree, own_tree, "{knobs:?}");
+            assert_eq!(report.steps, own_report.steps, "{knobs:?}");
+            assert_eq!(report.app_messages, own_report.app_messages, "{knobs:?}");
+            assert_eq!(report.commits, own_report.commits, "{knobs:?}");
         }
     }
 

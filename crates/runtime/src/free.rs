@@ -6,12 +6,12 @@
 //! hardware-throughput mode, not a reproducible one — but termination is
 //! still exact: the same Dijkstra–Scholten bookkeeping as the seeded
 //! scheduler runs inside the workers, root sign-offs flow to the main
-//! thread over a channel, and the run ends when all `n` start-engagement
-//! obligations have been signed off, at which point no application
-//! message or ack is in flight.
+//! thread over a channel, and a phase ends when every start-engagement
+//! obligation (one per actor in its start set) has been signed off, at
+//! which point no application message or ack is in flight.
 
 use crate::actor::{AsyncProgram, Context, Envelope};
-use crate::termination::{DsParent, DsState};
+use crate::termination::{DsParent, DsState, StartMarks};
 use crate::{RuntimeError, RuntimeReport};
 use adn_graph::NodeId;
 use adn_sim::network::Network;
@@ -70,11 +70,15 @@ impl FreeScheduler {
     }
 
     /// Runs `programs` in driver-delimited phases (the free-running
-    /// counterpart of [`SeededScheduler::run_phased`]
-    /// (crate::SeededScheduler::run_phased)): before each phase the driver
-    /// may rewrite actor state and decides whether another phase runs;
-    /// each phase spins up the worker pool and runs to Dijkstra–Scholten
-    /// quiescence. Counters accumulate across phases.
+    /// counterpart of
+    /// [`SeededScheduler::run_phased`](crate::SeededScheduler::run_phased)):
+    /// before each phase the driver may rewrite actor state, lists the
+    /// actors the phase starts (the list is empty on entry) and decides
+    /// whether another phase runs. Each phase spins up the worker pool,
+    /// sends `Start` only to the listed actors (each once) and runs to
+    /// Dijkstra–Scholten quiescence, so it costs O(listed + messages +
+    /// acks) deliveries; a phase with an empty list spawns no pool at
+    /// all. Counters accumulate across phases.
     ///
     /// # Errors
     ///
@@ -89,9 +93,14 @@ impl FreeScheduler {
     where
         P: AsyncProgram,
         E: From<RuntimeError>,
-        F: FnMut(&mut Network, &mut [P], usize) -> Result<bool, E>,
+        F: FnMut(&mut Network, &mut [P], &mut Vec<NodeId>, usize) -> Result<bool, E>,
     {
         let n = programs.len();
+        if network.node_count() != n {
+            return Err(E::from(RuntimeError::InvalidInput {
+                reason: format!("{n} programs for {} nodes", network.node_count()),
+            }));
+        }
         let mut report = RuntimeReport {
             scheduler: "free",
             seed: None,
@@ -105,42 +114,56 @@ impl FreeScheduler {
             deactivations: 0,
             in_flight_at_detection: 0,
         };
+        let mut start: Vec<NodeId> = Vec::new();
+        let mut marks = StartMarks::new(n);
         let mut phase = 0usize;
         loop {
-            if !driver(network, programs, phase)? {
+            start.clear();
+            if !driver(network, programs, &mut start, phase)? {
                 break;
             }
-            let r = self.run(network, programs).map_err(E::from)?;
-            report.steps += r.steps;
-            report.app_messages += r.app_messages;
-            report.acks += r.acks;
-            report.commits += r.commits;
-            report.activations += r.activations;
-            report.deactivations += r.deactivations;
-            report.in_flight_at_detection = r.in_flight_at_detection;
+            marks.open_phase(&mut start, |_| false).map_err(E::from)?;
+            if !start.is_empty() {
+                self.run_barrier(network, programs, &start, &mut report)
+                    .map_err(E::from)?;
+            }
             phase += 1;
         }
         Ok(report)
     }
 
     /// Runs `programs` (actor `i` is node `i`) to Dijkstra–Scholten
-    /// quiescence on `network` using free-running worker threads.
+    /// quiescence on `network` using free-running worker threads,
+    /// starting every actor.
     pub fn run<P: AsyncProgram>(
         &self,
         network: &mut Network,
         programs: &mut [P],
     ) -> Result<RuntimeReport, RuntimeError> {
-        let n = network.node_count();
-        if programs.len() != n {
-            return Err(RuntimeError::InvalidInput {
-                reason: format!("{} programs for {n} nodes", programs.len()),
-            });
-        }
-        if n == 0 {
+        if network.node_count() == 0 {
             return Err(RuntimeError::InvalidInput {
                 reason: "empty network".to_string(),
             });
         }
+        let n = programs.len();
+        self.run_phased(network, programs, |_, _, start, phase| {
+            if phase == 0 {
+                start.extend((0..n).map(NodeId));
+            }
+            Ok::<bool, RuntimeError>(phase == 0)
+        })
+    }
+
+    /// One barrier: starts the (deduplicated, non-empty) `start` list,
+    /// waits for every root sign-off and adds the counters to `report`.
+    fn run_barrier<P: AsyncProgram>(
+        &self,
+        network: &mut Network,
+        programs: &mut [P],
+        start: &[NodeId],
+        report: &mut RuntimeReport,
+    ) -> Result<(), RuntimeError> {
+        let n = programs.len();
         let workers = self.threads.min(n);
         let chunk = n.div_ceil(workers);
 
@@ -182,19 +205,19 @@ impl FreeScheduler {
                 });
             }
 
-            // Kick off the diffusing computation: one start per actor.
-            for i in 0..n {
+            // Kick off the diffusing computation: one start per listed actor.
+            for &v in start {
                 counters.in_flight.fetch_add(1, Ordering::SeqCst);
-                let _ = senders[i / chunk].send(WorkerMsg::Deliver {
-                    to: NodeId(i),
+                let _ = senders[v.index() / chunk].send(WorkerMsg::Deliver {
+                    to: v,
                     env: Envelope::Start,
                 });
             }
 
-            // Root deficit is n; count the sign-offs.
+            // The root deficit is the start count; count the sign-offs.
             let deadline = std::time::Instant::now() + self.timeout;
             let mut signed_off = 0usize;
-            while signed_off < n {
+            while signed_off < start.len() {
                 let budget = deadline.saturating_duration_since(std::time::Instant::now());
                 match root_rx.recv_timeout(budget) {
                     Ok(()) => signed_off += 1,
@@ -205,7 +228,7 @@ impl FreeScheduler {
             for tx in &senders {
                 let _ = tx.send(WorkerMsg::Shutdown);
             }
-            (signed_off == n, in_flight)
+            (signed_off == start.len(), in_flight)
         });
         let (quiesced, in_flight) = outcome;
 
@@ -215,19 +238,14 @@ impl FreeScheduler {
         if !quiesced {
             return Err(RuntimeError::TimedOut);
         }
-        Ok(RuntimeReport {
-            scheduler: "free",
-            seed: None,
-            threads: Some(workers),
-            n,
-            steps: counters.steps.load(Ordering::SeqCst),
-            app_messages: counters.app_messages.load(Ordering::SeqCst),
-            acks: counters.acks.load(Ordering::SeqCst),
-            commits: counters.commits.load(Ordering::SeqCst),
-            activations: counters.activations.load(Ordering::SeqCst),
-            deactivations: counters.deactivations.load(Ordering::SeqCst),
-            in_flight_at_detection: in_flight,
-        })
+        report.steps += counters.steps.load(Ordering::SeqCst);
+        report.app_messages += counters.app_messages.load(Ordering::SeqCst);
+        report.acks += counters.acks.load(Ordering::SeqCst);
+        report.commits += counters.commits.load(Ordering::SeqCst);
+        report.activations += counters.activations.load(Ordering::SeqCst);
+        report.deactivations += counters.deactivations.load(Ordering::SeqCst);
+        report.in_flight_at_detection = in_flight;
+        Ok(())
     }
 }
 
@@ -393,6 +411,33 @@ mod tests {
         assert_eq!(report.app_messages, 6);
         assert_eq!(report.in_flight_at_detection, 0);
         assert_eq!(report.threads, Some(4));
+    }
+
+    #[test]
+    fn a_phase_starts_only_its_listed_actors() {
+        let graph = generators::line(5);
+        let mut network = Network::new(graph.clone());
+        let mut programs: Vec<Echo> = (0..5)
+            .map(|i| Echo {
+                neighbors: graph.neighbors_slice(NodeId(i)).to_vec(),
+                kick: i == 0,
+                seen: 0,
+            })
+            .collect();
+        let lists: [&[usize]; 3] = [&[0, 0], &[], &[0]];
+        let report = FreeScheduler::new(2)
+            .run_phased(&mut network, &mut programs, |_, _, start, phase| {
+                let Some(list) = lists.get(phase) else {
+                    return Ok(false);
+                };
+                start.extend(list.iter().map(|&i| NodeId(i)));
+                Ok::<bool, RuntimeError>(true)
+            })
+            .expect("run");
+        // Per started phase: one start, three messages (3, 2, 1), three
+        // acks; the duplicate listing and the empty phase add nothing.
+        assert_eq!((report.steps, report.app_messages), (14, 6));
+        assert_eq!(report.in_flight_at_detection, 0);
     }
 
     #[test]

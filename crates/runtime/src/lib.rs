@@ -21,7 +21,9 @@
 //! root of a diffusing computation, every application message carries an
 //! ack obligation, and the run ends exactly when the root's deficit
 //! reaches zero — at which point no message is in flight (property-tested
-//! in `tests/runtime_model.rs`).
+//! in `tests/runtime_model.rs`). A phased run (`run_phased`) is a sequence
+//! of such barriers, each starting only the actors its driver lists, so a
+//! barrier costs O(started + messages + acks) deliveries rather than O(n).
 //!
 //! Edge operations requested by a handler ([`Context::activate`] /
 //! [`Context::deactivate`]) are staged and committed through the
@@ -146,7 +148,8 @@ pub struct RuntimeReport {
     pub threads: Option<usize>,
     /// Number of actors.
     pub n: usize,
-    /// Envelope deliveries performed (start + application + ack).
+    /// Envelope deliveries performed (start + application + ack); only
+    /// the actors a phase lists receive a start.
     pub steps: usize,
     /// Application messages delivered.
     pub app_messages: usize,

@@ -9,7 +9,7 @@
 
 use crate::actor::{AsyncProgram, Context, Envelope};
 use crate::fault::{FaultKind, FaultPlan};
-use crate::termination::{DsParent, DsState};
+use crate::termination::{DsParent, DsState, StartMarks};
 use crate::{AsyncKnobs, RuntimeError, RuntimeReport};
 use adn_graph::rng::DetRng;
 use adn_graph::NodeId;
@@ -100,24 +100,32 @@ impl SeededScheduler {
     }
 
     /// Runs `programs` (actor `i` is node `i`) to Dijkstra–Scholten
-    /// quiescence on `network`.
+    /// quiescence on `network`, starting every actor.
     pub fn run<P: AsyncProgram>(
         &self,
         network: &mut Network,
         programs: &mut [P],
     ) -> Result<RuntimeReport, RuntimeError> {
-        self.run_phased(network, programs, |_, _, phase| {
+        let n = programs.len();
+        self.run_phased(network, programs, |_, _, start, phase| {
+            if phase == 0 {
+                start.extend((0..n).map(NodeId));
+            }
             Ok::<bool, RuntimeError>(phase == 0)
         })
     }
 
     /// Runs `programs` in driver-delimited phases: before each phase the
-    /// `driver` closure is called with the network, the actors and the
-    /// phase index; it may rewrite actor state (common-knowledge
-    /// orchestration between barriers) and returns whether another phase
-    /// should run. Each phase re-sends `Start` to every live actor and
-    /// runs to Dijkstra–Scholten quiescence; one RNG stream spans all
-    /// phases, so a phased run replays byte-identically from the seed.
+    /// `driver` closure is called with the network, the actors, the
+    /// phase's start list (empty on entry) and the phase index; it may
+    /// rewrite actor state (common-knowledge orchestration between
+    /// barriers), lists the actors the phase starts, and returns whether
+    /// another phase should run. The phase sends `Start` only to the
+    /// listed actors that have not crashed (each once, however often it
+    /// is listed) and runs to Dijkstra–Scholten quiescence, so it costs
+    /// O(listed + messages + acks) deliveries; an empty list makes it a
+    /// no-op. One RNG stream spans all phases, so a phased run replays
+    /// byte-identically from the seed.
     ///
     /// # Errors
     ///
@@ -132,7 +140,7 @@ impl SeededScheduler {
     where
         P: AsyncProgram,
         E: From<RuntimeError>,
-        F: FnMut(&mut Network, &mut [P], usize) -> Result<bool, E>,
+        F: FnMut(&mut Network, &mut [P], &mut Vec<NodeId>, usize) -> Result<bool, E>,
     {
         self.run_phased_with_faults(network, programs, &FaultPlan::default(), driver)
     }
@@ -158,7 +166,7 @@ impl SeededScheduler {
     where
         P: AsyncProgram,
         E: From<RuntimeError>,
-        F: FnMut(&mut Network, &mut [P], usize) -> Result<bool, E>,
+        F: FnMut(&mut Network, &mut [P], &mut Vec<NodeId>, usize) -> Result<bool, E>,
     {
         let n = programs.len();
         if network.node_count() != n {
@@ -212,24 +220,28 @@ impl SeededScheduler {
         };
 
         let mut window_buf: Vec<InFlight<P::Message>> = Vec::with_capacity(window);
+        let mut start: Vec<NodeId> = Vec::new();
+        let mut marks = StartMarks::new(n);
         let mut phase = 0usize;
         loop {
-            if !driver(network, programs, phase)? {
+            start.clear();
+            if !driver(network, programs, &mut start, phase)? {
                 break;
             }
-            let mut started = vec![false; n];
-            let mut root_deficit = 0usize;
-            for (i, _) in crashed.iter().enumerate().take(n).filter(|(_, c)| !**c) {
+            marks
+                .open_phase(&mut start, |v| crashed[v.index()])
+                .map_err(E::from)?;
+            let mut root_deficit = start.len();
+            for &node in &start {
                 enqueue(
                     &mut heap,
                     &mut rng,
                     &mut seq,
                     now,
                     None,
-                    NodeId(i),
+                    node,
                     Envelope::Start,
                 );
-                root_deficit += 1;
             }
             while root_deficit > 0 {
                 if report.steps >= self.max_steps {
@@ -335,8 +347,6 @@ impl SeededScheduler {
                             // acknowledged on the spot.
                             immediate_root_ack = true;
                         }
-                        debug_assert!(!started[node.index()], "duplicate start");
-                        started[node.index()] = true;
                         programs[node.index()].on_start(&mut ctx);
                     }
                     Envelope::App { from, msg } => {
@@ -502,6 +512,38 @@ mod tests {
                 .collect();
             assert_eq!(render[0], render[1], "seed {seed} diverged");
         }
+    }
+
+    #[test]
+    fn a_phase_starts_only_its_listed_actors() {
+        let graph = generators::line(5);
+        let phased = |lists: &[&[usize]]| {
+            let mut network = Network::new(graph.clone());
+            let mut programs = countdown_programs(&graph, 0, 3);
+            SeededScheduler::new(3).run_phased(&mut network, &mut programs, |_, _, start, phase| {
+                let Some(list) = lists.get(phase) else {
+                    return Ok(false);
+                };
+                start.extend(list.iter().map(|&i| NodeId(i)));
+                Ok::<bool, RuntimeError>(true)
+            })
+        };
+        // One start, three messages, three acks: node 0 listed twice is
+        // started once, and a phase with an empty list delivers nothing.
+        let report = phased(&[&[0, 0], &[]]).expect("run");
+        assert_eq!((report.steps, report.app_messages), (7, 3));
+        assert_eq!(phased(&[&[], &[0], &[0]]).expect("run").steps, 14);
+        assert!(matches!(
+            phased(&[&[5]]),
+            Err(RuntimeError::InvalidInput { .. })
+        ));
+        // `run` starts every actor.
+        let mut network = Network::new(graph.clone());
+        let mut programs = countdown_programs(&graph, 0, 3);
+        let report = SeededScheduler::new(3)
+            .run(&mut network, &mut programs)
+            .expect("run");
+        assert_eq!(report.steps, 5 + 3 + 3);
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! Dijkstra–Scholten termination detection for diffusing computations.
 //!
 //! The scheduler plays the virtual root: it sends one `Start` to every
-//! actor (root deficit `n`) and the computation diffuses from there.
+//! actor in the phase's start set (the root deficit is the set's size)
+//! and the computation diffuses from there — actors outside the set are
+//! engaged only if a message reaches them.
 //! Every delivered message engages its receiver (if idle) or earns an
 //! immediate acknowledgement (if already engaged); an engaged node keeps
 //! a *deficit* — acknowledgements still owed for messages it sent — and
@@ -10,6 +12,7 @@
 //! because a sign-off happens strictly after all acknowledgements for a
 //! node's own sends have arrived, **no message is in flight**.
 
+use crate::RuntimeError;
 use adn_graph::NodeId;
 
 /// Who engaged a node in the diffusing computation.
@@ -87,6 +90,56 @@ impl DsState {
     }
 }
 
+/// Epoch-stamped "started in this phase" marks, kept for a whole phased
+/// run: opening a phase costs O(start set), not O(n), and an actor the
+/// driver lists twice is still started once.
+#[derive(Debug)]
+pub(crate) struct StartMarks {
+    stamp: Vec<usize>,
+    epoch: usize,
+}
+
+impl StartMarks {
+    pub(crate) fn new(n: usize) -> Self {
+        StartMarks {
+            stamp: vec![0; n],
+            epoch: 0,
+        }
+    }
+
+    /// Opens the next phase on the driver's `start` list: keeps the first
+    /// listing of every actor `skip` does not reject, in list order.
+    ///
+    /// # Errors
+    ///
+    /// [`RuntimeError::InvalidInput`] if the list names a node without an
+    /// actor.
+    pub(crate) fn open_phase(
+        &mut self,
+        start: &mut Vec<NodeId>,
+        skip: impl Fn(NodeId) -> bool,
+    ) -> Result<(), RuntimeError> {
+        self.epoch += 1;
+        if let Some(bad) = start.iter().find(|v| v.index() >= self.stamp.len()) {
+            return Err(RuntimeError::InvalidInput {
+                reason: format!(
+                    "start set names {bad}, but there are {} actors",
+                    self.stamp.len()
+                ),
+            });
+        }
+        start.retain(|&v| {
+            let stamp = &mut self.stamp[v.index()];
+            if *stamp == self.epoch || skip(v) {
+                return false;
+            }
+            *stamp = self.epoch;
+            true
+        });
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -110,6 +163,23 @@ mod tests {
         // Re-engagement after disengaging picks a fresh parent.
         assert!(ds.on_receive(DsParent::Node(NodeId(1))));
         assert_eq!(ds.try_disengage(), Some(DsParent::Node(NodeId(1))));
+    }
+
+    #[test]
+    fn start_marks_dedupe_per_phase_and_skip_rejected_actors() {
+        let mut marks = StartMarks::new(4);
+        let mut start = vec![NodeId(2), NodeId(0), NodeId(2), NodeId(3)];
+        marks.open_phase(&mut start, |v| v == NodeId(3)).unwrap();
+        assert_eq!(start, vec![NodeId(2), NodeId(0)]);
+        // A new phase forgets the previous marks.
+        let mut start = vec![NodeId(0), NodeId(0)];
+        marks.open_phase(&mut start, |_| false).unwrap();
+        assert_eq!(start, vec![NodeId(0)]);
+        let mut start = vec![NodeId(4)];
+        assert!(matches!(
+            marks.open_phase(&mut start, |_| false),
+            Err(RuntimeError::InvalidInput { .. })
+        ));
     }
 
     #[test]

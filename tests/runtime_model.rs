@@ -1,6 +1,6 @@
 //! Differential model tests for the asynchronous runtime.
 //!
-//! Three obligations of the `adn-runtime` subsystem, checked from the
+//! Five obligations of the `adn-runtime` subsystem, checked from the
 //! facade so the whole public path (builder → engine dispatch → scheduler
 //! → outcome) is exercised:
 //!
@@ -15,7 +15,9 @@
 //! 4. the committee algorithms (`GraphToStar`, `GraphToWreath`,
 //!    `GraphToThinWreath`) reach the synchronous engine's committee
 //!    structures under both asynchronous engines, on delay-free and
-//!    adversarial schedules, across sizes and UID assignments.
+//!    adversarial schedules, across sizes and UID assignments;
+//! 5. a barrier starts only the actors with work in it, so a committee
+//!    run's delivery count follows its work, not n per barrier.
 
 use actively_dynamic_networks::core::subroutines::{
     run_line_to_tree, run_runtime_line_to_tree_seeded, run_runtime_star_faulted,
@@ -340,7 +342,10 @@ fn ds_accounting_stays_sound_when_actors_crash_mid_phase() {
         let report = SeededScheduler::new(sched_seed)
             .with_knobs(ADVERSARIAL)
             .with_max_steps(500_000)
-            .run_phased_with_faults(&mut network, &mut actors, &plan, |_, _, phase| {
+            .run_phased_with_faults(&mut network, &mut actors, &plan, |_, _, start, phase| {
+                if phase == 0 {
+                    start.extend((0..n).map(NodeId));
+                }
                 Ok::<bool, RuntimeError>(phase == 0)
             })
             .unwrap_or_else(|e| {
@@ -367,32 +372,45 @@ fn armed_crash_during_committee_run_is_deterministic_and_clean() {
     let n = 16;
     let graph = GraphFamily::SparseRandom.generate(n, 21);
     let uids = UidMap::new(n, UidAssignment::RandomPermutation { seed: 21 });
-    // A clean run of this instance takes 1378 delivery steps regardless of
-    // the schedule (delivery count is order-invariant); spreading the
-    // crash over the back half of the run makes some schedules survive it
-    // and others degrade, so both result paths stay exercised.
-    let run = |sched_seed: u64| {
-        let crash_step = 700 + (sched_seed as usize * 97) % 700;
-        let plan = FaultPlan::new().crash_at(crash_step, NodeId(3));
+    let run_with = |sched_seed: u64, plan: &FaultPlan| {
         let mut network = Network::new(graph.clone());
-        let crashed = run_runtime_star_faulted(
+        let outcome = run_runtime_star_faulted(
             &mut network,
             &uids,
             &RunConfig::default().with_engine(EngineMode::Seeded { seed: sched_seed }),
             sched_seed,
             ADVERSARIAL,
-            &plan,
-        )
-        .map(|o| {
-            (
-                o.leader,
-                o.phases,
-                o.runtime
-                    .expect("faulted seeded runs carry a report")
-                    .render(),
-            )
-        })
-        .map_err(|e| e.to_string());
+            plan,
+        );
+        (outcome, network)
+    };
+    // A clean run's delivery count does not depend on the schedule (it is
+    // order-invariant), so one unarmed run measures the step clock;
+    // spreading the crash over the back half of the run makes some
+    // schedules survive it and others degrade, so both result paths stay
+    // exercised.
+    let clean_steps = run_with(0, &FaultPlan::default())
+        .0
+        .expect("unarmed run")
+        .runtime
+        .expect("seeded runs carry a report")
+        .steps;
+    let half = clean_steps / 2;
+    let run = |sched_seed: u64| {
+        let crash_step = half + (sched_seed as usize * 97) % half;
+        let plan = FaultPlan::new().crash_at(crash_step, NodeId(3));
+        let (outcome, network) = run_with(sched_seed, &plan);
+        let crashed = outcome
+            .map(|o| {
+                (
+                    o.leader,
+                    o.phases,
+                    o.runtime
+                        .expect("faulted seeded runs carry a report")
+                        .render(),
+                )
+            })
+            .map_err(|e| e.to_string());
         (crashed, network.is_crashed(NodeId(3)))
     };
     let (mut survived_crash, mut failed_clean) = (0, 0);
@@ -414,6 +432,29 @@ fn armed_crash_during_committee_run_is_deterministic_and_clean() {
     // schedules where the crash degrades the protocol into a clean error.
     assert!(survived_crash > 0, "no schedule survived a landed crash");
     assert!(failed_clean > 0, "no schedule degraded into a clean error");
+}
+
+#[test]
+fn barrier_cost_is_linear_on_a_sequential_uid_line() {
+    // Sequential UIDs on a line make GraphToWreath's phase 1 a selection
+    // chain of depth n - 1, executed as about 3n splice barriers with one
+    // or two edge operations each. A barrier starts only the actors with
+    // work in it, so the whole run costs O(n) deliveries; starting all n
+    // actors at every barrier would cost Θ(n²) (over 1500·n at n = 512).
+    for n in [512usize, 1024] {
+        let run = |engine| committee_outcome("graph_to_wreath", GraphFamily::Line, n, 5, engine);
+        let sync = run(EngineMode::Synchronous);
+        for engine in [
+            EngineMode::Seeded { seed: 0 },
+            EngineMode::Free { threads: 2 },
+        ] {
+            let outcome = run(engine);
+            let label = format!("graph_to_wreath on a sequential-UID line n={n} under {engine:?}");
+            assert_same_committees(&sync, &outcome, &label);
+            let steps = outcome.runtime.as_ref().expect("async report").steps;
+            assert!(steps < 20 * n, "{label}: {steps} delivery steps");
+        }
+    }
 }
 
 #[test]
