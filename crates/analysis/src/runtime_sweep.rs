@@ -431,60 +431,17 @@ pub fn sweep(master_seed: u64, cases: usize) -> RuntimeSweepSummary {
     sweep_with_threads(master_seed, cases, 1)
 }
 
-/// Runs a runtime seed sweep on `threads` worker threads. Case seeds are
-/// derived up-front, workers steal contiguous blocks of case indices from
-/// a shared atomic counter (same discipline as
-/// [`crate::stress::sweep_with_threads`]: workers capped at available
-/// parallelism, one counter bump per block), and reports are reassembled
-/// in case order — so the summary and every per-case render are
-/// byte-identical for every thread count.
+/// Runs a runtime seed sweep on `threads` worker threads, on the worker
+/// pool of [`crate::stress::sweep_with_threads`]: case seeds are derived
+/// up-front and reports come back in case order, so the summary and every
+/// per-case render are byte-identical for every thread count.
 pub fn sweep_with_threads(master_seed: u64, cases: usize, threads: usize) -> RuntimeSweepSummary {
-    let mut rng = DetRng::seed_from_u64(master_seed);
-    let seeds: Vec<u64> = (0..cases).map(|_| rng.next_u64()).collect();
-    let (threads, block) = crate::stress::sweep_partition(cases, threads);
-    if threads <= 1 {
-        let reports = seeds
-            .iter()
-            .map(|&s| run_case(&RuntimeCase::from_seed(s)))
-            .collect();
-        return RuntimeSweepSummary {
-            master_seed,
-            reports,
-        };
-    }
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    let next = AtomicUsize::new(0);
-    let seeds = &seeds;
-    let next = &next;
-    let mut indexed: Vec<(usize, RuntimeCaseReport)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(move || {
-                    let mut out = Vec::new();
-                    loop {
-                        let start = next.fetch_add(block, Ordering::Relaxed);
-                        if start >= seeds.len() {
-                            break;
-                        }
-                        let end = (start + block).min(seeds.len());
-                        for (i, &seed) in seeds.iter().enumerate().take(end).skip(start) {
-                            out.push((i, run_case(&RuntimeCase::from_seed(seed))));
-                        }
-                    }
-                    out
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("runtime sweep worker panicked"))
-            .collect()
-    });
-    indexed.sort_by_key(|(i, _)| *i);
-    debug_assert_eq!(indexed.len(), cases);
+    let seeds = crate::stress::case_seeds(master_seed, cases);
+    let reports =
+        crate::stress::parallel_map(&seeds, threads, |&s| run_case(&RuntimeCase::from_seed(s)));
     RuntimeSweepSummary {
         master_seed,
-        reports: indexed.into_iter().map(|(_, r)| r).collect(),
+        reports,
     }
 }
 

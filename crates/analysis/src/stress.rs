@@ -583,7 +583,7 @@ pub fn sweep_traced(master_seed: u64, cases: usize) -> SweepSummary {
 /// Derives the per-case seeds of a sweep (the only part that consumes the
 /// master RNG; cases are then fully independent, which is what makes the
 /// sweep embarrassingly parallel).
-fn case_seeds(master_seed: u64, cases: usize) -> Vec<u64> {
+pub(crate) fn case_seeds(master_seed: u64, cases: usize) -> Vec<u64> {
     let mut rng = DetRng::seed_from_u64(master_seed);
     (0..cases).map(|_| rng.next_u64()).collect()
 }
@@ -592,7 +592,7 @@ fn case_seeds(master_seed: u64, cases: usize) -> Vec<u64> {
 /// enough that the atomic counter is touched a handful of times per
 /// worker instead of once per case, large enough that a straggler block
 /// cannot serialize the tail of the sweep.
-pub(crate) const SWEEP_BLOCKS_PER_WORKER: usize = 8;
+const SWEEP_BLOCKS_PER_WORKER: usize = 8;
 
 /// Picks the effective worker count and stealing block size for a sweep
 /// of `cases` cases on `threads` requested workers. Workers are capped at
@@ -600,7 +600,7 @@ pub(crate) const SWEEP_BLOCKS_PER_WORKER: usize = 8;
 /// sweep only adds scheduling overhead (the old `threads=2` regression on
 /// small machines) — and cases are claimed in contiguous blocks rather
 /// than one at a time.
-pub(crate) fn sweep_partition(cases: usize, threads: usize) -> (usize, usize) {
+fn sweep_partition(cases: usize, threads: usize) -> (usize, usize) {
     let hw = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -611,49 +611,37 @@ pub(crate) fn sweep_partition(cases: usize, threads: usize) -> (usize, usize) {
     (workers, block)
 }
 
-/// Runs a seed sweep on a pool of `threads` worker threads
-/// (`std::thread`, no external dependencies). Case seeds are derived
-/// up-front from the master RNG, workers steal contiguous *blocks* of
-/// case indices from a shared atomic counter (one counter bump per block,
-/// not per case), and reports are reassembled in case order — so the
-/// returned [`SweepSummary`] (and therefore `summary_text`/`to_json` and
-/// every per-case [`StressReport::render`]) is byte-identical for every
-/// thread count, including 1.
-///
-/// `threads` is clamped to `[1, cases]` and to the machine's available
-/// parallelism (oversubscription only slows a CPU-bound sweep down);
-/// `0` means one thread.
-pub fn sweep_with_threads(master_seed: u64, cases: usize, threads: usize) -> SweepSummary {
-    let seeds = case_seeds(master_seed, cases);
-    let (threads, block) = sweep_partition(cases, threads);
+/// Maps `f` over `items` on a pool of `threads` worker threads
+/// (`std::thread`, no external dependencies) and returns the results in
+/// item order, so the output does not depend on the thread count. Workers
+/// steal contiguous *blocks* of indices from a shared atomic counter (one
+/// counter bump per block, not per item); `threads` is clamped as in
+/// [`sweep_partition`], and a single worker runs on the calling thread.
+pub(crate) fn parallel_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&T) -> R + Sync,
+{
+    let (threads, block) = sweep_partition(items.len(), threads);
     if threads <= 1 {
-        let reports = seeds
-            .iter()
-            .map(|&s| run_case(&StressCase::from_seed(s)))
-            .collect();
-        return SweepSummary {
-            master_seed,
-            reports,
-        };
+        return items.iter().map(f).collect();
     }
     use std::sync::atomic::{AtomicUsize, Ordering};
     let next = AtomicUsize::new(0);
-    let seeds = &seeds;
-    let next = &next;
-    let mut indexed: Vec<(usize, StressReport)> = std::thread::scope(|scope| {
+    let (next, f) = (&next, &f);
+    let mut indexed: Vec<(usize, R)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|_| {
                 scope.spawn(move || {
                     let mut out = Vec::new();
                     loop {
                         let start = next.fetch_add(block, Ordering::Relaxed);
-                        if start >= seeds.len() {
+                        if start >= items.len() {
                             break;
                         }
-                        let end = (start + block).min(seeds.len());
-                        for (i, &seed) in seeds.iter().enumerate().take(end).skip(start) {
-                            out.push((i, run_case(&StressCase::from_seed(seed))));
-                        }
+                        let end = (start + block).min(items.len());
+                        out.extend((start..end).map(|i| (i, f(&items[i]))));
                     }
                     out
                 })
@@ -665,10 +653,27 @@ pub fn sweep_with_threads(master_seed: u64, cases: usize, threads: usize) -> Swe
             .collect()
     });
     indexed.sort_by_key(|(i, _)| *i);
-    debug_assert_eq!(indexed.len(), cases);
+    debug_assert_eq!(indexed.len(), items.len());
+    indexed.into_iter().map(|(_, r)| r).collect()
+}
+
+/// Runs a seed sweep on a pool of `threads` worker threads
+/// (`parallel_map`). Case seeds are derived up-front from the master
+/// RNG and reports come back in case order — so the returned
+/// [`SweepSummary`] (and therefore `summary_text`/`to_json` and every
+/// per-case [`StressReport::render`]) is byte-identical for every thread
+/// count, including 1.
+///
+/// `threads` is clamped to `[1, cases]` and to the machine's available
+/// parallelism (oversubscription only slows a CPU-bound sweep down);
+/// `0` means one thread.
+pub fn sweep_with_threads(master_seed: u64, cases: usize, threads: usize) -> SweepSummary {
+    let reports = parallel_map(&case_seeds(master_seed, cases), threads, |&s| {
+        run_case(&StressCase::from_seed(s))
+    });
     SweepSummary {
         master_seed,
-        reports: indexed.into_iter().map(|(_, r)| r).collect(),
+        reports,
     }
 }
 

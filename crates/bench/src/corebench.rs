@@ -1048,8 +1048,8 @@ const MIN_COMPARABLE_NS: u128 = 100_000;
 /// deleted bench must be re-baselined, not silently dropped from the
 /// gate — and a run with no matching case at all (e.g. quick-mode
 /// samples checked against a full-mode baseline) fails loudly rather
-/// than passing vacuously. Sub-[`MIN_COMPARABLE_NS`] baseline cases are
-/// skipped as noise.
+/// than passing vacuously. Baseline cases under `MIN_COMPARABLE_NS`
+/// (100 µs) are skipped as noise.
 pub fn check_against_baseline(
     baseline_json: &str,
     current_json: &str,

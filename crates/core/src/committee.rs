@@ -381,6 +381,11 @@ impl CommitteeAdjacency {
     }
 }
 
+/// A committee's selection in one phase: the target committee, the bridge
+/// node `x` in the selecting committee and its neighbour `y` in the
+/// target.
+pub(crate) type Choice = (CommitteeId, NodeId, NodeId);
+
 /// One directed cross-committee bridge: `(committee, other committee,
 /// local endpoint, remote endpoint)`. Sorted order puts the smallest
 /// bridge of every ordered committee pair first — the same invariant the

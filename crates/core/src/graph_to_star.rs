@@ -18,11 +18,11 @@
 
 use crate::algorithm::RunConfig;
 use crate::committee::{
-    validate_input, CommitteeForest, CommitteeId, IncrementalAdjacency, PhaseLedger,
+    validate_input, Choice, CommitteeForest, CommitteeId, IncrementalAdjacency, PhaseLedger,
 };
 use crate::{CoreError, TransformationOutcome};
 use adn_graph::{Edge, Graph, NodeId, UidMap};
-use adn_sim::Network;
+use adn_sim::{Network, WaveActivation};
 
 /// The mode a committee executes in during a phase (Section 3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,8 +41,12 @@ pub(crate) enum Mode {
     Waiting,
 }
 
-/// A pending round-B hop: `(selector leader, target leader, helper edge)`.
-type PendingHop = (NodeId, NodeId, Option<(NodeId, NodeId)>);
+impl Mode {
+    /// Committed to a merge or a climb: not a selectable target.
+    pub(crate) fn is_committed(self) -> bool {
+        matches!(self, Mode::Merging { .. } | Mode::Pulling { .. })
+    }
+}
 
 /// A structural committee invariant did not hold (a merge target or
 /// attach node fell outside the tracked vertex set). Unreachable in the
@@ -105,7 +109,7 @@ fn run_phases(
     while state.forest.live_count() > 1 {
         ledger.open(config, network, state.forest.live_count())?;
         network.note_groups_alive(state.forest.live_count());
-        state.run_phase(network, uids)?;
+        state.run_phase(network, uids, initial)?;
     }
 
     // Termination phase: keep only the star edges.
@@ -152,8 +156,6 @@ struct State {
     adjacency: IncrementalAdjacency,
     /// Per-slot mode column, parallel to the forest arena.
     mode: Vec<Mode>,
-    /// Edges of the initial network (never deactivated before termination).
-    initial_edges: Graph,
 }
 
 impl State {
@@ -165,171 +167,31 @@ impl State {
             forest,
             adjacency,
             mode: vec![Mode::Selection; n],
-            initial_edges: initial.clone(),
         }
     }
 
-    fn run_phase(&mut self, network: &mut Network, uids: &UidMap) -> Result<(), CoreError> {
+    /// Plans the phase with [`plan_phase`] and runs it as lock-step
+    /// rounds: round A, then round B.
+    fn run_phase(
+        &mut self,
+        network: &mut Network,
+        uids: &UidMap,
+        initial: &Graph,
+    ) -> Result<(), CoreError> {
         let deltas = network.take_edge_deltas();
         let adjacency = self
             .adjacency
             .refresh(&self.forest, network.graph(), &deltas);
-        let start_mode: Vec<Mode> = self.mode.clone();
+        let (forest, mode) = (&self.forest, &self.mode);
+        let eligible = |o: CommitteeId| !mode[o.index()].is_committed();
+        let phase = plan_phase(forest, mode, network.graph(), initial, |cid| {
+            Ok(adjacency.select_largest_uid_neighbor(cid, forest, uids, eligible))
+        })?;
 
-        // ------------------------------------------------------------------
-        // 1. Selection, with its round-A edge operation: the selector's
-        //    leader connects towards the target committee (helper edge e1,
-        //    or directly the leader-leader edge when it is already at
-        //    distance <= 2). `pending_b` collects the round-B second hops.
-        // ------------------------------------------------------------------
-        let mut selections: Vec<(CommitteeId, CommitteeId)> = Vec::new();
-        let mut pending_b: Vec<PendingHop> = Vec::new();
-        let mut wave_acts: Vec<adn_sim::WaveActivation> = Vec::new();
-        let mut wave_drops: Vec<Edge> = Vec::new();
-        for &cid in self.forest.live_ids() {
-            if self.mode[cid.index()] != Mode::Selection {
-                continue;
-            }
-            // Only committees not already committed to a merge or climb
-            // are selectable targets.
-            let candidate = adjacency.select_largest_uid_neighbor(cid, &self.forest, uids, |o| {
-                !matches!(
-                    start_mode[o.index()],
-                    Mode::Pulling { .. } | Mode::Merging { .. }
-                )
-            });
-            let Some((target, x, y)) = candidate else {
-                continue;
-            };
-            selections.push((cid, target));
-            let u = self.forest.leader(cid);
-            let v = self.forest.leader(target);
-            if network.graph().has_edge(u, v) {
-                // Already adjacent (for example both singletons joined by an
-                // initial edge): nothing to activate.
-                continue;
-            }
-            if u == x || y == v {
-                // The leader-leader edge is one hop away: witness y (if the
-                // selector's leader is the bridge) or witness x (if the
-                // bridge lands on the target leader).
-                wave_acts.push(adn_sim::WaveActivation {
-                    initiator: u,
-                    target: v,
-                    witness: if u == x { y } else { x },
-                });
-                continue;
-            }
-            // General case: helper edge e1 = (u, y) via witness x now, then
-            // the leader-leader edge via witness y in round B.
-            wave_acts.push(adn_sim::WaveActivation {
-                initiator: u,
-                target: y,
-                witness: x,
-            });
-            pending_b.push((u, v, Some((u, y))));
-        }
-
-        // ------------------------------------------------------------------
-        // 2. The rest of round A, then round B.
-        // ------------------------------------------------------------------
-        // Merging committees: every member joins the target leader's star.
-        let mut merges: Vec<(CommitteeId, CommitteeId)> = Vec::new(); // (dying, absorbing)
-        for &cid in self.forest.live_ids() {
-            if let Mode::Merging { into } = self.mode[cid.index()] {
-                let leader = self.forest.leader(cid);
-                let into_cid = self
-                    .forest
-                    .committee_of(into)
-                    .ok_or_else(|| invariant_error(format!("merge target {into} is untracked")))?;
-                merges.push((cid, into_cid));
-                for &x in self.forest.members(cid) {
-                    if x == leader {
-                        continue;
-                    }
-                    // The dying committee's leader sits on both the star
-                    // edge (x, leader) and the leader-leader edge
-                    // (leader, into) from the selection phase.
-                    wave_acts.push(adn_sim::WaveActivation {
-                        initiator: x,
-                        target: into,
-                        witness: leader,
-                    });
-                    if !self.initial_edges.has_edge(x, leader) {
-                        wave_drops.push(Edge::new(x, leader));
-                    }
-                }
-            }
-        }
-
-        // Pulling committees: climb one level of the committee tree
-        // (TreeToStar applied to committees). The climb target is the next
-        // node up the selection tree as it stood at the beginning of the
-        // phase: the attach node's committee leader if we are attached to
-        // an ordinary member, otherwise whatever our attach leader itself
-        // points upwards to (its merge target or its own attach node).
-        let mut climbs: Vec<(CommitteeId, NodeId)> = Vec::new(); // (committee, new attach node)
-        for &cid in self.forest.live_ids() {
-            if let Mode::Pulling { attach } = self.mode[cid.index()] {
-                let leader = self.forest.leader(cid);
-                let attach_cid = self
-                    .forest
-                    .committee_of(attach)
-                    .ok_or_else(|| invariant_error(format!("attach node {attach} is untracked")))?;
-                let attach_leader = self.forest.leader(attach_cid);
-                let target = if attach != attach_leader {
-                    // Hop from an ex-leader member to its current leader.
-                    attach_leader
-                } else {
-                    match start_mode[attach_cid.index()] {
-                        Mode::Merging { into } => into,
-                        Mode::Pulling { attach: up } => up,
-                        // The attach committee is a root (waiting or back in
-                        // selection): stay put, we merge into it next phase.
-                        _ => attach,
-                    }
-                };
-                if target != attach {
-                    // The attach node supports both the old (leader,
-                    // attach) edge and the upward (attach, target) edge.
-                    wave_acts.push(adn_sim::WaveActivation {
-                        initiator: leader,
-                        target,
-                        witness: attach,
-                    });
-                    if !self.initial_edges.has_edge(leader, attach) {
-                        wave_drops.push(Edge::new(leader, attach));
-                    }
-                }
-                climbs.push((cid, target));
-            }
-        }
-
-        network.stage_jump_wave(&wave_acts, &wave_drops)?;
+        network.stage_jump_wave(&phase.round_a, &edges(&phase.round_a_drops))?;
         let summary_a = network.commit_round();
-
-        // Round B: second selection hop, witnessed by the round-A helper
-        // endpoint `y` (adjacent to `u` via the helper edge and to `v`
-        // inside the target committee).
-        wave_acts.clear();
-        wave_drops.clear();
-        let mut any_b = false;
-        for (u, v, helper) in &pending_b {
-            let witness = helper.map_or(*u, |(_, y)| y);
-            wave_acts.push(adn_sim::WaveActivation {
-                initiator: *u,
-                target: *v,
-                witness,
-            });
-            if let Some((a, b)) = helper {
-                if !self.initial_edges.has_edge(*a, *b) {
-                    wave_drops.push(Edge::new(*a, *b));
-                }
-            }
-            any_b = true;
-        }
-        network.stage_jump_wave(&wave_acts, &wave_drops)?;
-        if any_b || !selections.is_empty() {
+        network.stage_jump_wave(&phase.round_b, &edges(&phase.round_b_drops))?;
+        if !phase.round_b.is_empty() || !phase.selections.is_empty() {
             // A selection phase always costs 2 rounds (Lemma 3.7), even if
             // the second hop happened to be unnecessary for some selectors.
             network.commit_round();
@@ -339,32 +201,190 @@ impl State {
             network.advance_idle_rounds(1);
         }
 
-        // ------------------------------------------------------------------
-        // 3. Merges and mode transitions for the next phase.
-        // ------------------------------------------------------------------
-        end_phase(
-            &mut self.forest,
-            &mut self.mode,
-            &selections,
-            &merges,
-            &climbs,
-        )
+        end_phase(&mut self.forest, &mut self.mode, &phase)
     }
 }
 
-/// The end of a GraphToStar phase, shared by the synchronous engine and
-/// the actor engine ([`crate::subroutines::runtime_committee`]): absorb
-/// the merging committees, then move every committee to its next mode.
-/// `selections` are this phase's `(selector, target)` pairs, `merges` the
-/// `(dying, absorbing)` pairs of the committees in merging mode, and
-/// `climbs` the new attach node of every committee in pulling mode.
+/// `(initiator, peer)` drops as edges.
+fn edges(drops: &[(NodeId, NodeId)]) -> Vec<Edge> {
+    drops.iter().map(|&(a, b)| Edge::new(a, b)).collect()
+}
+
+/// One GraphToStar phase as planned by [`plan_phase`]: the committee
+/// transitions that feed [`end_phase`], and the edge operations of its
+/// two rounds. Activations carry their distance-2 witness; drops are
+/// `(initiator, peer)` pairs and never touch an initial edge.
+#[derive(Debug, Default)]
+pub(crate) struct StarPhase {
+    /// `(selector, target)` pairs of the committees in selection mode.
+    pub(crate) selections: Vec<(CommitteeId, CommitteeId)>,
+    /// `(dying, absorbing)` pairs of the committees in merging mode.
+    pub(crate) merges: Vec<(CommitteeId, CommitteeId)>,
+    /// The new attach node of every committee in pulling mode.
+    pub(crate) climbs: Vec<(CommitteeId, NodeId)>,
+    /// Round A: selection first hops, merge-member hops, climbs.
+    pub(crate) round_a: Vec<WaveActivation>,
+    /// Round A's drops: the merged members' old star edges, then the
+    /// climbers' old attach edges.
+    pub(crate) round_a_drops: Vec<(NodeId, NodeId)>,
+    /// Round B: the selection second hops through a helper edge.
+    pub(crate) round_b: Vec<WaveActivation>,
+    /// Round B's drops: those helper edges.
+    pub(crate) round_b_drops: Vec<(NodeId, NodeId)>,
+}
+
+/// Plans one GraphToStar phase for both engines — the synchronous
+/// [`State::run_phase`] and the actor engine
+/// ([`crate::subroutines::runtime_committee`]) — from the committee
+/// partition, the mode column and the current and initial graphs.
+/// `choose` returns the selection of a committee in selection mode.
+///
+/// * A **selecting** leader `u` reaches the target leader `v` directly
+///   when the bridge `(x, y)` puts them at distance 2, and otherwise
+///   through the helper edge `(u, y)` in round A and `(u, v)` via `y` in
+///   round B (Lemma 3.7); already adjacent leaders need no edge.
+/// * Every member of a **merging** committee hops onto the target leader
+///   via its own leader.
+/// * A **pulling** committee climbs one level of the selection tree as
+///   it stood at the phase start (TreeToStar at committee granularity).
+pub(crate) fn plan_phase<F>(
+    forest: &CommitteeForest,
+    mode: &[Mode],
+    graph: &Graph,
+    initial: &Graph,
+    mut choose: F,
+) -> Result<StarPhase, CoreError>
+where
+    F: FnMut(CommitteeId) -> Result<Option<Choice>, CoreError>,
+{
+    let mut phase = StarPhase::default();
+    for &cid in forest.live_ids() {
+        if mode[cid.index()] != Mode::Selection {
+            continue;
+        }
+        let Some((target, x, y)) = choose(cid)? else {
+            continue;
+        };
+        phase.selections.push((cid, target));
+        let u = forest.leader(cid);
+        let v = forest.leader(target);
+        if graph.has_edge(u, v) {
+            // Already adjacent (for example both singletons joined by an
+            // initial edge): nothing to activate.
+            continue;
+        }
+        if u == x || y == v {
+            // The leader-leader edge is one hop away: witness y (if the
+            // selector's leader is the bridge) or witness x (if the
+            // bridge lands on the target leader).
+            phase.round_a.push(WaveActivation {
+                initiator: u,
+                target: v,
+                witness: if u == x { y } else { x },
+            });
+            continue;
+        }
+        // General case: helper edge (u, y) via witness x now, then the
+        // leader-leader edge via witness y (adjacent to u through the
+        // helper and to v inside the target committee).
+        phase.round_a.push(WaveActivation {
+            initiator: u,
+            target: y,
+            witness: x,
+        });
+        phase.round_b.push(WaveActivation {
+            initiator: u,
+            target: v,
+            witness: y,
+        });
+        if !initial.has_edge(u, y) {
+            phase.round_b_drops.push((u, y));
+        }
+    }
+
+    for &cid in forest.live_ids() {
+        let Mode::Merging { into } = mode[cid.index()] else {
+            continue;
+        };
+        let leader = forest.leader(cid);
+        let into_cid = forest
+            .committee_of(into)
+            .ok_or_else(|| invariant_error(format!("merge target {into} is untracked")))?;
+        phase.merges.push((cid, into_cid));
+        for &x in forest.members(cid) {
+            if x == leader {
+                continue;
+            }
+            // The dying committee's leader sits on both the star edge
+            // (x, leader) and the leader-leader edge (leader, into) from
+            // the selection phase.
+            phase.round_a.push(WaveActivation {
+                initiator: x,
+                target: into,
+                witness: leader,
+            });
+            if !initial.has_edge(x, leader) {
+                phase.round_a_drops.push((x, leader));
+            }
+        }
+    }
+
+    // The climb target is the next node up the selection tree: the attach
+    // node's committee leader if we are attached to an ordinary member,
+    // otherwise whatever our attach leader itself points upwards to (its
+    // merge target or its own attach node).
+    for &cid in forest.live_ids() {
+        let Mode::Pulling { attach } = mode[cid.index()] else {
+            continue;
+        };
+        let leader = forest.leader(cid);
+        let attach_cid = forest
+            .committee_of(attach)
+            .ok_or_else(|| invariant_error(format!("attach node {attach} is untracked")))?;
+        let attach_leader = forest.leader(attach_cid);
+        let target = if attach != attach_leader {
+            // Hop from an ex-leader member to its current leader.
+            attach_leader
+        } else {
+            match mode[attach_cid.index()] {
+                Mode::Merging { into } => into,
+                Mode::Pulling { attach: up } => up,
+                // The attach committee is a root (waiting or back in
+                // selection): stay put, we merge into it next phase.
+                _ => attach,
+            }
+        };
+        if target != attach {
+            // The attach node supports both the old (leader, attach) edge
+            // and the upward (attach, target) edge.
+            phase.round_a.push(WaveActivation {
+                initiator: leader,
+                target,
+                witness: attach,
+            });
+            if !initial.has_edge(leader, attach) {
+                phase.round_a_drops.push((leader, attach));
+            }
+        }
+        phase.climbs.push((cid, target));
+    }
+    Ok(phase)
+}
+
+/// The end of a GraphToStar phase planned by [`plan_phase`], shared by
+/// both engines: absorb the merging committees, then move every committee
+/// to its next mode.
 pub(crate) fn end_phase(
     forest: &mut CommitteeForest,
     mode: &mut [Mode],
-    selections: &[(CommitteeId, CommitteeId)],
-    merges: &[(CommitteeId, CommitteeId)],
-    climbs: &[(CommitteeId, NodeId)],
+    phase: &StarPhase,
 ) -> Result<(), CoreError> {
+    let StarPhase {
+        selections,
+        merges,
+        climbs,
+        ..
+    } = phase;
     let slots = forest.slot_count();
     let mut did_select = vec![false; slots];
     let mut selected_by = vec![false; slots];

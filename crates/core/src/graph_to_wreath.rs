@@ -29,7 +29,7 @@
 
 use crate::algorithm::RunConfig;
 use crate::committee::{
-    validate_input, CommitteeForest, CommitteeId, IncrementalAdjacency, PhaseLedger,
+    validate_input, Choice, CommitteeForest, CommitteeId, IncrementalAdjacency, PhaseLedger,
     SelectionForest,
 };
 use crate::subroutines::line_to_tree::{
@@ -103,11 +103,6 @@ fn position_of(ring: &[NodeId], u: NodeId) -> Option<usize> {
 fn invariant_error(algorithm: &'static str, detail: String) -> CoreError {
     CoreError::BrokenInvariant { algorithm, detail }
 }
-
-/// A committee's selection in one phase: the target committee, the bridge
-/// node `x` in the selecting committee and its neighbour `y` in the
-/// target.
-pub(crate) type WreathChoice = (CommitteeId, NodeId, NodeId);
 
 /// The edge operations of one splice level, planned by
 /// [`WreathPlanner::next_level`] and executed as two rounds: round A
@@ -214,7 +209,7 @@ pub(crate) struct WreathPlanner {
     merged_line: Vec<Vec<NodeId>>,
     epoch: u64,
     /// This phase's selections, per slot.
-    selected: Vec<Option<WreathChoice>>,
+    selected: Vec<Option<Choice>>,
     sel: SelectionForest,
     /// The committees whose children form the next splice level.
     frontier: Vec<CommitteeId>,
@@ -268,7 +263,7 @@ impl WreathPlanner {
     /// merge into.
     pub(crate) fn select<F>(&mut self, mut choose: F) -> Result<bool, CoreError>
     where
-        F: FnMut(&CommitteeForest, CommitteeId) -> Result<Option<WreathChoice>, CoreError>,
+        F: FnMut(&CommitteeForest, CommitteeId) -> Result<Option<Choice>, CoreError>,
     {
         self.selected.clear();
         self.selected.resize(self.forest.slot_count(), None);

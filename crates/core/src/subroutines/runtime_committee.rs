@@ -14,34 +14,34 @@
 //! 2. **Report** — members forward their gossip observations to their
 //!    leader.
 //! 3. **Decide** — leaders reproduce the synchronous selection rule
-//!    (largest-UID strictly-larger neighbouring committee, with the
-//!    lexicographically smallest bridge) from the reports alone and stage
-//!    the first wave of edge operations; merging leaders instruct their
-//!    members by message.
-//! 4. **Execution mini-phases** — the remaining edge-operation waves
-//!    (the star's round-B hop and deferred deactivations, the wreath's
-//!    per-level splice rounds), each planned by a deterministic driver
-//!    between barriers and carried out by the owning actors.
+//!    (largest-UID strictly-larger neighbouring committee not committed
+//!    to a merge or a climb, with the lexicographically smallest bridge)
+//!    from the reports alone and record it; nothing else happens here.
+//! 4. **Execution mini-phases** — the driver plans the phase from the
+//!    recorded selections with the synchronous engine's planner and hands
+//!    each planned edge operation to the actor that initiates it. The
+//!    star runs three: round-A activations, round-B activations, then
+//!    every drop. The wreath runs three per splice level (activations,
+//!    activations, deactivations) and one ring clean-up.
 //!
 //! A barrier starts only the driver's **start set** — the actors with
 //! work in it — so it costs O(started + messages + acks) deliveries, not
-//! O(n): gossip and report start every live member, the decide steps
-//! start the leaders, the star's hop and deactivation steps start the
-//! actors holding a pending hop or deactivation, and an execution barrier
-//! starts the distinct initiators of its planned operations. A wreath
-//! phase with a long selection chain runs Θ(n) splice barriers, so
-//! starting every actor at each barrier would cost Θ(n²) deliveries.
+//! O(n): gossip and report start every live member, decide starts the
+//! leaders, and an execution barrier starts the distinct initiators of
+//! its planned operations. A wreath phase with a long selection chain
+//! runs Θ(n) splice barriers, so starting every actor at each barrier
+//! would cost Θ(n²) deliveries.
 //!
 //! The driver is plain in-process orchestration state: it runs *between*
 //! barriers, never inside the asynchronous execution, and executes the
-//! shared planner of the synchronous engine — the wreath's
-//! `WreathPlanner` (committee forest, ring splicing, tree rebuilds) and
-//! the star's `end_phase` transition — so each phase rule has one
-//! implementation and two executors. Because every decision is made
-//! either on a complete message set (after a barrier) or by a
-//! commutative rule, the resulting committee structures — final graph,
-//! phase count, committees per phase — **equal the synchronous engines'
-//! on delay-free and adversarial schedules alike**, which the
+//! shared planner of the synchronous engine — GraphToStar's `plan_phase`
+//! and `end_phase`, the wreath's `WreathPlanner` (committee forest, ring
+//! splicing, tree rebuilds) — so each phase rule has one implementation
+//! and two executors. Because every decision is made either on a complete
+//! message set (after a barrier) or by a commutative rule, the resulting
+//! committee structures — final graph, phase count, committees per phase,
+//! total activations and deactivations — **equal the synchronous
+//! engines' on delay-free and adversarial schedules alike**, which the
 //! differential tests in `tests/runtime_model.rs` pin for both schedulers.
 //!
 //! Inside a wreath phase the merged rings are rebuilt into trees with the
@@ -59,16 +59,16 @@
 //! scheduler, between deliveries of the committee protocol itself.
 
 use crate::algorithm::{EngineMode, RunConfig};
-use crate::committee::{validate_input, CommitteeForest, CommitteeId, PhaseLedger};
-use crate::graph_to_star::{end_phase, phase_ledger, Mode};
+use crate::committee::{validate_input, Choice, CommitteeForest, CommitteeId, PhaseLedger};
+use crate::graph_to_star::{end_phase, phase_ledger, plan_phase, Mode, StarPhase};
 use crate::graph_to_wreath::{SpliceLevel, WreathConfig, WreathPlanner};
 use crate::subroutines::{run_runtime_line_to_tree_free, run_runtime_line_to_tree_seeded};
 use crate::{CoreError, TransformationOutcome};
-use adn_graph::{Graph, NodeId, Uid, UidMap};
+use adn_graph::{Edge, Graph, NodeId, Uid, UidMap};
 use adn_runtime::{
     AsyncKnobs, AsyncProgram, Context, FaultPlan, FreeScheduler, RuntimeReport, SeededScheduler,
 };
-use adn_sim::Network;
+use adn_sim::{Network, WaveActivation};
 use std::mem;
 use std::sync::Arc;
 
@@ -89,8 +89,6 @@ enum CommitteeMsg {
     Bridge { leader: NodeId, mode: Mode },
     /// A member forwards its gossip observations to its leader.
     Report { bridges: Vec<BridgeInfo> },
-    /// A merging leader instructs a member to join `into`'s star.
-    MergeOp { into: NodeId },
 }
 
 /// Which mini-phase the actor runs when the scheduler starts it.
@@ -99,86 +97,71 @@ enum Mini {
     Idle,
     Gossip,
     Report,
-    StarDecide,
-    StarHopB,
-    Deact,
-    WreathDecide,
+    Decide,
     Exec,
 }
 
 /// One node of a committee protocol. The driver feeds the per-phase
-/// inputs (leader, mode, neighbour snapshot) between barriers; within a
-/// mini-phase the actor acts on messages alone.
+/// inputs (leader, mode, neighbour snapshot, planned operations) between
+/// barriers; within a mini-phase the actor acts on messages alone.
 struct CommitteeActor {
     uids: Arc<UidMap>,
-    initial: Arc<Graph>,
     // Driver-fed inputs.
     mini: Mini,
     leader: NodeId,
     mode: Mode,
     neighbors: Vec<NodeId>,
-    members: Vec<NodeId>,
     assigned_acts: Vec<NodeId>,
     assigned_deacts: Vec<NodeId>,
     // Protocol state accumulated within a phase.
     bridges: Vec<BridgeInfo>,
     reports: Vec<BridgeInfo>,
-    // Decision artifacts the driver reads after barriers.
+    /// The leader's decision, `(target leader, x, y)`, read by the driver
+    /// after the decide barrier.
     selection: Option<(NodeId, NodeId, NodeId)>,
-    climb: Option<NodeId>,
-    pending_b: Option<(NodeId, Option<NodeId>)>,
-    pending_deacts: Vec<NodeId>,
 }
 
 impl CommitteeActor {
-    fn new(id: usize, uids: &Arc<UidMap>, initial: &Arc<Graph>) -> Self {
+    fn new(id: usize, uids: &Arc<UidMap>) -> Self {
         CommitteeActor {
             uids: Arc::clone(uids),
-            initial: Arc::clone(initial),
             mini: Mini::Idle,
             leader: NodeId(id),
             mode: Mode::Selection,
             neighbors: Vec::new(),
-            members: Vec::new(),
             assigned_acts: Vec::new(),
             assigned_deacts: Vec::new(),
             bridges: Vec::new(),
             reports: Vec::new(),
             selection: None,
-            climb: None,
-            pending_b: None,
-            pending_deacts: Vec::new(),
         }
     }
 
     fn clear_phase_state(&mut self) {
-        self.members.clear();
         self.assigned_acts.clear();
         self.assigned_deacts.clear();
         self.bridges.clear();
         self.reports.clear();
         self.selection = None;
-        self.climb = None;
-        self.pending_b = None;
-        self.pending_deacts.clear();
     }
 
     /// The synchronous selection rule, recomputed from reports: the
     /// largest-UID committee strictly above our own among the gossiped
-    /// neighbours (filtered by the star's eligibility when `star_rules`),
-    /// bridged by the lexicographically smallest `(x, y)` pair — exactly
-    /// `CommitteeAdjacency::select_largest_uid_neighbor`. Every clause is
-    /// order-independent, so the free scheduler's nondeterministic report
-    /// arrival order cannot change the outcome.
-    fn decide_selection(&self, me: NodeId, star_rules: bool) -> Option<(NodeId, NodeId, NodeId)> {
+    /// neighbours that are not committed to a merge or a climb (the
+    /// wreath gossips `Mode::Selection` only, so the filter never fires
+    /// there), bridged by the lexicographically smallest `(x, y)` pair —
+    /// exactly `CommitteeAdjacency::select_largest_uid_neighbor`. Every
+    /// clause is order-independent, so the free scheduler's
+    /// nondeterministic report arrival order cannot change the outcome.
+    fn decide_selection(&self, me: NodeId) -> Option<(NodeId, NodeId, NodeId)> {
         let my_uid = self.uids.uid(me);
         let mut best: Option<(Uid, NodeId)> = None;
         for e in &self.reports {
             if e.y_leader == self.leader {
                 continue; // intra-committee edge
             }
-            if star_rules && matches!(e.y_mode, Mode::Merging { .. } | Mode::Pulling { .. }) {
-                continue; // committed committees are not selectable targets
+            if e.y_mode.is_committed() {
+                continue;
             }
             let uid = self.uids.uid(e.y_leader);
             if uid <= my_uid {
@@ -196,64 +179,6 @@ impl CommitteeActor {
             .map(|e| (e.x, e.y))
             .min()?;
         Some((v, x, y))
-    }
-
-    /// The star leader's decision step (the synchronous round A, minus
-    /// the deactivations, which wait for the dedicated `Deact` barrier so
-    /// no activation witness disappears early).
-    fn star_decide(&mut self, ctx: &mut Context<CommitteeMsg>) {
-        let me = ctx.id();
-        match self.mode {
-            Mode::Selection => {
-                let Some((v, x, y)) = self.decide_selection(me, true) else {
-                    return;
-                };
-                self.selection = Some((v, x, y));
-                if self.neighbors.contains(&v) {
-                    return; // already adjacent: nothing to activate
-                }
-                if me == x || y == v {
-                    ctx.activate(v);
-                    return;
-                }
-                // General case: helper edge (me, y) now, leader-leader
-                // edge via witness y in the hop-B mini-phase.
-                ctx.activate(y);
-                self.pending_b = Some((v, Some(y)));
-            }
-            Mode::Merging { into } => {
-                for i in 0..self.members.len() {
-                    let m = self.members[i];
-                    if m != me {
-                        ctx.send(m, CommitteeMsg::MergeOp { into });
-                    }
-                }
-            }
-            Mode::Pulling { attach } => {
-                // Any gossip entry for the attach node carries the same
-                // `(leader, mode)` payload, so the pick is value-unique.
-                let Some(e) = self.reports.iter().find(|e| e.y == attach).copied() else {
-                    return; // degraded (faults): stay attached
-                };
-                let target = if attach != e.y_leader {
-                    e.y_leader
-                } else {
-                    match e.y_mode {
-                        Mode::Merging { into } => into,
-                        Mode::Pulling { attach: up } => up,
-                        _ => attach,
-                    }
-                };
-                if target != attach {
-                    ctx.activate(target);
-                    if !self.initial.has_edge(me, attach) {
-                        self.pending_deacts.push(attach);
-                    }
-                }
-                self.climb = Some(target);
-            }
-            Mode::Waiting => {}
-        }
     }
 }
 
@@ -284,24 +209,8 @@ impl AsyncProgram for CommitteeActor {
                     ctx.send(self.leader, CommitteeMsg::Report { bridges });
                 }
             }
-            // The decide steps start only the leaders.
-            Mini::StarDecide => self.star_decide(ctx),
-            Mini::StarHopB => {
-                if let Some((v, helper)) = self.pending_b.take() {
-                    ctx.activate(v);
-                    if let Some(y) = helper {
-                        if !self.initial.has_edge(ctx.id(), y) {
-                            self.pending_deacts.push(y);
-                        }
-                    }
-                }
-            }
-            Mini::Deact => {
-                for p in mem::take(&mut self.pending_deacts) {
-                    ctx.deactivate(p);
-                }
-            }
-            Mini::WreathDecide => self.selection = self.decide_selection(ctx.id(), false),
+            // The decide step starts only the leaders.
+            Mini::Decide => self.selection = self.decide_selection(ctx.id()),
             Mini::Exec => {
                 for p in mem::take(&mut self.assigned_acts) {
                     ctx.activate(p);
@@ -326,12 +235,6 @@ impl AsyncProgram for CommitteeActor {
             CommitteeMsg::Report { bridges } => {
                 self.reports.extend(bridges);
             }
-            CommitteeMsg::MergeOp { into } => {
-                ctx.activate(into);
-                if !self.initial.has_edge(ctx.id(), self.leader) {
-                    self.pending_deacts.push(self.leader);
-                }
-            }
         }
     }
 }
@@ -340,12 +243,26 @@ fn invariant(algorithm: &'static str, detail: String) -> CoreError {
     CoreError::BrokenInvariant { algorithm, detail }
 }
 
-fn build_actors(n: usize, uids: &UidMap, initial: &Graph) -> Vec<CommitteeActor> {
+fn build_actors(n: usize, uids: &UidMap) -> Vec<CommitteeActor> {
     let uids = Arc::new(uids.clone());
-    let initial = Arc::new(initial.clone());
-    (0..n)
-        .map(|i| CommitteeActor::new(i, &uids, &initial))
-        .collect()
+    (0..n).map(|i| CommitteeActor::new(i, &uids)).collect()
+}
+
+/// The selection committee `cid`'s leader recorded in the decide step,
+/// with its target leader resolved to the target committee.
+fn recorded_choice(
+    actors: &[CommitteeActor],
+    forest: &CommitteeForest,
+    cid: CommitteeId,
+    algorithm: &'static str,
+) -> Result<Option<Choice>, CoreError> {
+    let Some((v, x, y)) = actors[forest.leader(cid).index()].selection else {
+        return Ok(None);
+    };
+    let target = forest
+        .committee_of(v)
+        .ok_or_else(|| invariant(algorithm, format!("selection target {v} is untracked")))?;
+    Ok(Some((target, x, y)))
 }
 
 /// Who each barrier starts: the driver arms a mini-phase only on the
@@ -393,22 +310,22 @@ impl Roster {
                 self.members.push(m);
             }
             if leader.index() < actors.len() {
-                actors[leader.index()].members = forest.members(cid).to_vec();
                 self.leaders.push(leader);
             }
         }
         arm(actors, start, &self.members, Mini::Gossip);
     }
 
-    /// Hands a pre-planned operation list to its owning actors and starts
-    /// one execution barrier on the distinct initiators (all guards were
-    /// evaluated by the driver against the snapshot the synchronous
-    /// engine would have used).
+    /// Hands a pre-planned operation list to its owning actors — each
+    /// activation to its initiator, each `(initiator, peer)` deactivation
+    /// to its initiator — and starts one execution barrier on the
+    /// distinct initiators (all guards were evaluated by the planner
+    /// against the snapshot the synchronous engine would have used).
     fn assign_ops(
         &mut self,
         actors: &mut [CommitteeActor],
         start: &mut Vec<NodeId>,
-        acts: &[(NodeId, NodeId)],
+        acts: &[WaveActivation],
         deacts: &[(NodeId, NodeId)],
     ) {
         for &v in &self.armed {
@@ -417,22 +334,42 @@ impl Roster {
             a.assigned_deacts.clear();
         }
         self.armed.clear();
-        for (ops, is_act) in [(acts, true), (deacts, false)] {
-            for &(v, peer) in ops {
-                let Some(a) = actors.get_mut(v.index()) else {
-                    continue;
-                };
-                if a.assigned_acts.is_empty() && a.assigned_deacts.is_empty() {
-                    self.armed.push(v);
-                }
-                if is_act {
-                    a.assigned_acts.push(peer);
-                } else {
-                    a.assigned_deacts.push(peer);
-                }
+        let ops = acts
+            .iter()
+            .map(|w| (w.initiator, w.target, true))
+            .chain(deacts.iter().map(|&(v, peer)| (v, peer, false)));
+        for (v, peer, is_act) in ops {
+            let Some(a) = actors.get_mut(v.index()) else {
+                continue;
+            };
+            if a.assigned_acts.is_empty() && a.assigned_deacts.is_empty() {
+                self.armed.push(v);
+            }
+            if is_act {
+                a.assigned_acts.push(peer);
+            } else {
+                a.assigned_deacts.push(peer);
             }
         }
         arm(actors, start, &self.armed, Mini::Exec);
+    }
+
+    /// The termination phase: one barrier dropping every edge `keep`
+    /// rejects, each assigned to its first endpoint.
+    fn terminate<K: Fn(&Edge) -> bool>(
+        &mut self,
+        network: &Network,
+        actors: &mut [CommitteeActor],
+        start: &mut Vec<NodeId>,
+        keep: K,
+    ) {
+        let deacts: Vec<(NodeId, NodeId)> = network
+            .graph()
+            .edges()
+            .filter(|e| !keep(e))
+            .map(|e| (e.a, e.b))
+            .collect();
+        self.assign_ops(actors, start, &[], &deacts);
     }
 }
 
@@ -442,6 +379,58 @@ fn arm(actors: &mut [CommitteeActor], start: &mut Vec<NodeId>, nodes: &[NodeId],
         actors[v.index()].mini = mini;
     }
     start.extend_from_slice(nodes);
+}
+
+/// The scheduler family of a run: its committee barriers and the wreath's
+/// nested line-to-tree rebuilds.
+#[derive(Debug, Clone, Copy)]
+enum Scheduler {
+    Seeded { seed: u64, knobs: AsyncKnobs },
+    Free { threads: usize },
+}
+
+impl Scheduler {
+    /// The asynchronous scheduler `config` selects; a synchronous config
+    /// is rejected with an error naming the public entry point `entry`.
+    fn of(config: &RunConfig, entry: &str) -> Result<Self, CoreError> {
+        match config.engine {
+            EngineMode::Seeded { seed } => Ok(Scheduler::Seeded {
+                seed,
+                knobs: config.async_knobs(),
+            }),
+            EngineMode::Free { threads } => Ok(Scheduler::Free { threads }),
+            EngineMode::Synchronous => Err(CoreError::InvalidInput {
+                reason: format!("{entry} requires an asynchronous engine mode"),
+            }),
+        }
+    }
+
+    /// Runs `actors` phase by phase under `driver`, called before every
+    /// barrier; `faults` arm the seeded scheduler only.
+    fn run<D>(
+        self,
+        network: &mut Network,
+        actors: &mut [CommitteeActor],
+        faults: &FaultPlan,
+        driver: D,
+    ) -> Result<RuntimeReport, CoreError>
+    where
+        D: FnMut(
+            &mut Network,
+            &mut [CommitteeActor],
+            &mut Vec<NodeId>,
+            usize,
+        ) -> Result<bool, CoreError>,
+    {
+        match self {
+            Scheduler::Seeded { seed, knobs } => SeededScheduler::new(seed)
+                .with_knobs(knobs)
+                .run_phased_with_faults(network, actors, faults, driver),
+            Scheduler::Free { threads } => {
+                FreeScheduler::new(threads).run_phased(network, actors, driver)
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -454,33 +443,40 @@ enum StarStage {
     Gossip,
     Report,
     Decide,
-    HopB,
-    Deact,
+    RoundA,
+    RoundB,
+    Drops,
     Done,
 }
 
-/// The deterministic between-barriers orchestrator of the star phases:
-/// the leaders decide by message, and the end of every phase runs
-/// GraphToStar's shared transition ([`end_phase`]).
+/// The between-barriers executor of GraphToStar's shared [`plan_phase`]:
+/// the leaders select by message, and the planned phase becomes three
+/// barriers (round-A activations, round-B activations, every drop)
+/// followed by the shared transition ([`end_phase`]).
 struct StarDriver<'a> {
     run: &'a RunConfig,
+    initial: &'a Graph,
     n: usize,
     forest: CommitteeForest,
     mode: Vec<Mode>,
     ledger: PhaseLedger,
     stage: StarStage,
+    /// The phase under execution.
+    phase: StarPhase,
     roster: Roster,
 }
 
 impl<'a> StarDriver<'a> {
-    fn new(run: &'a RunConfig, n: usize) -> Self {
+    fn new(run: &'a RunConfig, initial: &'a Graph, n: usize) -> Self {
         StarDriver {
             run,
+            initial,
             n,
             forest: CommitteeForest::singletons(n),
             mode: vec![Mode::Selection; n],
             ledger: phase_ledger(n),
             stage: StarStage::Begin,
+            phase: StarPhase::default(),
             roster: Roster::default(),
         }
     }
@@ -500,7 +496,10 @@ impl<'a> StarDriver<'a> {
                     if self.forest.live_count() <= 1 {
                         if self.n > 1 {
                             self.run.check_round_budget(network)?;
-                            self.prep_termination(network, actors, start);
+                            let leader = self.forest.leader(self.forest.live_ids()[0]);
+                            self.roster.terminate(network, actors, start, |e| {
+                                e.a == leader || e.b == leader
+                            });
                             self.ledger.terminate();
                             self.stage = StarStage::Done;
                             return Ok(true);
@@ -524,117 +523,54 @@ impl<'a> StarDriver<'a> {
                     return Ok(true);
                 }
                 StarStage::Report => {
-                    arm(actors, start, &self.roster.leaders, Mini::StarDecide);
+                    arm(actors, start, &self.roster.leaders, Mini::Decide);
                     self.stage = StarStage::Decide;
                     return Ok(true);
                 }
                 StarStage::Decide => {
-                    // Only leaders decide, so only they can hold a hop.
-                    let hop: Vec<NodeId> = self
-                        .roster
-                        .leaders
-                        .iter()
-                        .copied()
-                        .filter(|v| actors[v.index()].pending_b.is_some())
-                        .collect();
-                    arm(actors, start, &hop, Mini::StarHopB);
-                    self.stage = StarStage::HopB;
+                    let (forest, decided) = (&self.forest, &*actors);
+                    self.phase =
+                        plan_phase(forest, &self.mode, network.graph(), self.initial, |cid| {
+                            recorded_choice(decided, forest, cid, "GraphToStar")
+                        })?;
+                    self.roster
+                        .assign_ops(actors, start, &self.phase.round_a, &[]);
+                    self.stage = StarStage::RoundA;
                     return Ok(true);
                 }
-                StarStage::HopB => {
-                    let deact: Vec<NodeId> = self
-                        .roster
-                        .members
-                        .iter()
-                        .copied()
-                        .filter(|v| !actors[v.index()].pending_deacts.is_empty())
-                        .collect();
-                    arm(actors, start, &deact, Mini::Deact);
-                    self.stage = StarStage::Deact;
+                StarStage::RoundA => {
+                    self.roster
+                        .assign_ops(actors, start, &self.phase.round_b, &[]);
+                    self.stage = StarStage::RoundB;
                     return Ok(true);
                 }
-                StarStage::Deact => {
-                    self.finish_phase(actors)?;
+                StarStage::RoundB => {
+                    // Every drop waits for both activation rounds, so no
+                    // activation witness disappears early.
+                    let drops: Vec<(NodeId, NodeId)> = self
+                        .phase
+                        .round_a_drops
+                        .iter()
+                        .chain(&self.phase.round_b_drops)
+                        .copied()
+                        .collect();
+                    self.roster.assign_ops(actors, start, &[], &drops);
+                    self.stage = StarStage::Drops;
+                    return Ok(true);
+                }
+                StarStage::Drops => {
+                    end_phase(&mut self.forest, &mut self.mode, &self.phase)?;
                     self.stage = StarStage::Begin;
                 }
                 StarStage::Done => return Ok(false),
             }
         }
     }
-
-    /// The synchronous termination phase: deactivate every non-star edge,
-    /// each assigned to its first endpoint.
-    fn prep_termination(
-        &mut self,
-        network: &Network,
-        actors: &mut [CommitteeActor],
-        start: &mut Vec<NodeId>,
-    ) {
-        let leader = self.forest.leader(self.forest.live_ids()[0]);
-        let deacts: Vec<(NodeId, NodeId)> = network
-            .graph()
-            .edges()
-            .filter(|e| e.a != leader && e.b != leader)
-            .map(|e| (e.a, e.b))
-            .collect();
-        self.roster.assign_ops(actors, start, &[], &deacts);
-    }
-
-    /// Bookkeeping after the deactivation barrier: harvest the leaders'
-    /// decisions and apply the shared end-of-phase transition.
-    fn finish_phase(&mut self, actors: &[CommitteeActor]) -> Result<(), CoreError> {
-        // Three passes, in the order the invariant errors are reported.
-        let mut selections: Vec<(CommitteeId, CommitteeId)> = Vec::new();
-        for &cid in self.forest.live_ids() {
-            if self.mode[cid.index()] != Mode::Selection {
-                continue;
-            }
-            let leader = self.forest.leader(cid);
-            if let Some((v, _x, _y)) = actors[leader.index()].selection {
-                let target = self.forest.committee_of(v).ok_or_else(|| {
-                    invariant("GraphToStar", format!("selection target {v} is untracked"))
-                })?;
-                selections.push((cid, target));
-            }
-        }
-        let mut merges: Vec<(CommitteeId, CommitteeId)> = Vec::new();
-        for &cid in self.forest.live_ids() {
-            if let Mode::Merging { into } = self.mode[cid.index()] {
-                let into_cid = self.forest.committee_of(into).ok_or_else(|| {
-                    invariant("GraphToStar", format!("merge target {into} is untracked"))
-                })?;
-                merges.push((cid, into_cid));
-            }
-        }
-        let mut climbs: Vec<(CommitteeId, NodeId)> = Vec::new();
-        for &cid in self.forest.live_ids() {
-            if let Mode::Pulling { attach } = self.mode[cid.index()] {
-                let leader = self.forest.leader(cid);
-                // Degraded (faulted) committees recorded no climb: stay put.
-                climbs.push((cid, actors[leader.index()].climb.unwrap_or(attach)));
-            }
-        }
-        end_phase(
-            &mut self.forest,
-            &mut self.mode,
-            &selections,
-            &merges,
-            &climbs,
-        )
-    }
 }
 
 // ---------------------------------------------------------------------------
 // Wreath driver
 // ---------------------------------------------------------------------------
-
-/// Which scheduler family drives the run (and its nested line-to-tree
-/// rebuilds).
-#[derive(Debug, Clone, Copy)]
-enum NestedEngine {
-    Seeded { seed: u64 },
-    Free { threads: usize },
-}
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum WreathStage {
@@ -660,8 +596,7 @@ struct WreathDriver<'a> {
     wreath: &'a WreathConfig,
     initial: &'a Graph,
     n: usize,
-    nested: NestedEngine,
-    knobs: AsyncKnobs,
+    scheduler: Scheduler,
     plan: WreathPlanner,
     ledger: PhaseLedger,
     stage: WreathStage,
@@ -678,16 +613,14 @@ impl<'a> WreathDriver<'a> {
         wreath: &'a WreathConfig,
         initial: &'a Graph,
         n: usize,
-        nested: NestedEngine,
-        knobs: AsyncKnobs,
+        scheduler: Scheduler,
     ) -> Self {
         WreathDriver {
             run,
             wreath,
             initial,
             n,
-            nested,
-            knobs,
+            scheduler,
             plan: WreathPlanner::new(wreath, n),
             ledger: wreath.phase_ledger(n),
             stage: WreathStage::Begin,
@@ -710,13 +643,8 @@ impl<'a> WreathDriver<'a> {
                         if self.n > 1 {
                             self.run.check_round_budget(network)?;
                             let keep = self.plan.termination_keep();
-                            let deacts: Vec<(NodeId, NodeId)> = network
-                                .graph()
-                                .edges()
-                                .filter(|e| !keep.contains(e))
-                                .map(|e| (e.a, e.b))
-                                .collect();
-                            self.roster.assign_ops(actors, start, &[], &deacts);
+                            self.roster
+                                .terminate(network, actors, start, |e| keep.contains(e));
                             self.ledger.terminate();
                             self.stage = WreathStage::Done;
                             return Ok(true);
@@ -739,21 +667,16 @@ impl<'a> WreathDriver<'a> {
                     return Ok(true);
                 }
                 WreathStage::Report => {
-                    arm(actors, start, &self.roster.leaders, Mini::WreathDecide);
+                    arm(actors, start, &self.roster.leaders, Mini::Decide);
                     self.stage = WreathStage::Decide;
                     return Ok(true);
                 }
                 WreathStage::Decide => {
                     let name = self.wreath.name;
-                    let any_selected = self.plan.select(|forest, cid| {
-                        let Some((v, x, y)) = actors[forest.leader(cid).index()].selection else {
-                            return Ok(None);
-                        };
-                        let target = forest.committee_of(v).ok_or_else(|| {
-                            invariant(name, format!("selection target {v} is untracked"))
-                        })?;
-                        Ok(Some((target, x, y)))
-                    })?;
+                    let decided = &*actors;
+                    let any_selected = self
+                        .plan
+                        .select(|forest, cid| recorded_choice(decided, forest, cid, name))?;
                     // With no selection the phase was already counted:
                     // retry, as the synchronous engine idles and continues.
                     self.stage = if any_selected {
@@ -778,10 +701,7 @@ impl<'a> WreathDriver<'a> {
                         self.stage = WreathStage::Cleanup;
                         return Ok(true);
                     };
-                    let acts_a: Vec<(NodeId, NodeId)> = level
-                        .round_a(network.graph())
-                        .map(|w| (w.initiator, w.target))
-                        .collect();
+                    let acts_a: Vec<WaveActivation> = level.round_a(network.graph()).collect();
                     self.roster.assign_ops(actors, start, &acts_a, &[]);
                     self.level = level;
                     self.stage = WreathStage::LevelA;
@@ -791,11 +711,7 @@ impl<'a> WreathDriver<'a> {
                     // Post-round-A snapshot: round B's activations now, its
                     // deactivations after one more barrier.
                     let graph = network.graph();
-                    let acts_b: Vec<(NodeId, NodeId)> = self
-                        .level
-                        .round_b(graph)
-                        .map(|w| (w.initiator, w.target))
-                        .collect();
+                    let acts_b: Vec<WaveActivation> = self.level.round_b(graph).collect();
                     self.deacts_c.clear();
                     self.deacts_c
                         .extend(self.level.round_b_drops(graph, self.initial));
@@ -823,17 +739,17 @@ impl<'a> WreathDriver<'a> {
     /// Rebuilds every merged ring's tree with the nested runtime
     /// line-to-tree under the run's scheduler family.
     fn rebuild_trees(&mut self, network: &mut Network) -> Result<(), CoreError> {
-        let (nested, knobs, phase) = (self.nested, self.knobs, self.ledger.phases() as u64);
+        let (scheduler, phase) = (self.scheduler, self.ledger.phases() as u64);
         self.plan.rebuild_trees(|_, root, line, config| {
-            let (tree, _report) = match nested {
-                NestedEngine::Seeded { seed } => run_runtime_line_to_tree_seeded(
+            let (tree, _report) = match scheduler {
+                Scheduler::Seeded { seed, knobs } => run_runtime_line_to_tree_seeded(
                     network,
                     line,
                     config,
                     split_seed(seed, phase, root.index() as u64),
                     knobs,
                 )?,
-                NestedEngine::Free { threads } => {
+                Scheduler::Free { threads } => {
                     run_runtime_line_to_tree_free(network, line, config, threads)?
                 }
             };
@@ -869,6 +785,48 @@ fn finish(
     Ok(outcome)
 }
 
+/// GraphToStar on the actor runtime under `scheduler`.
+fn run_star(
+    network: &mut Network,
+    uids: &UidMap,
+    config: &RunConfig,
+    scheduler: Scheduler,
+    faults: &FaultPlan,
+) -> Result<TransformationOutcome, CoreError> {
+    validate_input(network, uids, "GraphToStar")?;
+    let initial = network.graph().clone();
+    let n = initial.node_count();
+    let mut actors = build_actors(n, uids);
+    let mut driver = StarDriver::new(config, &initial, n);
+    let report = scheduler.run(network, &mut actors, faults, |net, acts, start, _| {
+        driver.step(net, acts, start)
+    })?;
+    let leader = driver.forest.leader(driver.forest.live_ids()[0]);
+    finish(network, leader, driver.ledger, report)
+}
+
+/// The wreath family on the actor runtime under `scheduler`.
+fn run_wreath(
+    network: &mut Network,
+    uids: &UidMap,
+    wreath: &WreathConfig,
+    config: &RunConfig,
+    scheduler: Scheduler,
+    faults: &FaultPlan,
+) -> Result<TransformationOutcome, CoreError> {
+    validate_input(network, uids, wreath.name)?;
+    let initial = network.graph().clone();
+    let n = initial.node_count();
+    let mut actors = build_actors(n, uids);
+    let mut driver = WreathDriver::new(config, wreath, &initial, n, scheduler);
+    let report = scheduler.run(network, &mut actors, faults, |net, acts, start, _| {
+        driver.step(net, acts, start)
+    })?;
+    let forest = driver.plan.forest();
+    let leader = forest.leader(forest.live_ids()[0]);
+    finish(network, leader, driver.ledger, report)
+}
+
 /// Runs GraphToStar on the asynchronous runtime, dispatching on
 /// [`RunConfig::engine`] (`Seeded` or `Free`; `Synchronous` is an error —
 /// the synchronous engine lives in `graph_to_star`).
@@ -883,33 +841,8 @@ pub fn run_runtime_star(
     uids: &UidMap,
     config: &RunConfig,
 ) -> Result<TransformationOutcome, CoreError> {
-    match config.engine {
-        EngineMode::Seeded { seed } => run_runtime_star_faulted(
-            network,
-            uids,
-            config,
-            seed,
-            config.async_knobs(),
-            &FaultPlan::default(),
-        ),
-        EngineMode::Free { threads } => {
-            validate_input(network, uids, "GraphToStar")?;
-            let initial = network.graph().clone();
-            let n = initial.node_count();
-            let mut actors = build_actors(n, uids, &initial);
-            let mut driver = StarDriver::new(config, n);
-            let report = FreeScheduler::new(threads).run_phased(
-                network,
-                &mut actors,
-                |net, acts, start, _phase| driver.step(net, acts, start),
-            )?;
-            let leader = driver.forest.leader(driver.forest.live_ids()[0]);
-            finish(network, leader, driver.ledger, report)
-        }
-        EngineMode::Synchronous => Err(CoreError::InvalidInput {
-            reason: "run_runtime_star requires an asynchronous engine mode".into(),
-        }),
-    }
+    let scheduler = Scheduler::of(config, "run_runtime_star")?;
+    run_star(network, uids, config, scheduler, &FaultPlan::default())
 }
 
 /// Runs GraphToStar under the seeded scheduler with an explicit knob set
@@ -928,18 +861,13 @@ pub fn run_runtime_star_faulted(
     knobs: AsyncKnobs,
     faults: &FaultPlan,
 ) -> Result<TransformationOutcome, CoreError> {
-    validate_input(network, uids, "GraphToStar")?;
-    let initial = network.graph().clone();
-    let n = initial.node_count();
-    let mut actors = build_actors(n, uids, &initial);
-    let mut driver = StarDriver::new(config, n);
-    let report = SeededScheduler::new(seed)
-        .with_knobs(knobs)
-        .run_phased_with_faults(network, &mut actors, faults, |net, acts, start, _phase| {
-            driver.step(net, acts, start)
-        })?;
-    let leader = driver.forest.leader(driver.forest.live_ids()[0]);
-    finish(network, leader, driver.ledger, report)
+    run_star(
+        network,
+        uids,
+        config,
+        Scheduler::Seeded { seed, knobs },
+        faults,
+    )
 }
 
 /// Runs the wreath family (GraphToWreath / GraphToThinWreath, by
@@ -955,44 +883,15 @@ pub fn run_runtime_wreath(
     wreath: &WreathConfig,
     config: &RunConfig,
 ) -> Result<TransformationOutcome, CoreError> {
-    match config.engine {
-        EngineMode::Seeded { seed } => run_runtime_wreath_faulted(
-            network,
-            uids,
-            wreath,
-            config,
-            seed,
-            config.async_knobs(),
-            &FaultPlan::default(),
-        ),
-        EngineMode::Free { threads } => {
-            validate_input(network, uids, wreath.name)?;
-            let initial = network.graph().clone();
-            let n = initial.node_count();
-            let mut actors = build_actors(n, uids, &initial);
-            let mut driver = WreathDriver::new(
-                config,
-                wreath,
-                &initial,
-                n,
-                NestedEngine::Free { threads },
-                AsyncKnobs::default(),
-            );
-            let report = FreeScheduler::new(threads).run_phased(
-                network,
-                &mut actors,
-                |net, acts, start, _phase| driver.step(net, acts, start),
-            )?;
-            let leader = driver
-                .plan
-                .forest()
-                .leader(driver.plan.forest().live_ids()[0]);
-            finish(network, leader, driver.ledger, report)
-        }
-        EngineMode::Synchronous => Err(CoreError::InvalidInput {
-            reason: "run_runtime_wreath requires an asynchronous engine mode".into(),
-        }),
-    }
+    let scheduler = Scheduler::of(config, "run_runtime_wreath")?;
+    run_wreath(
+        network,
+        uids,
+        wreath,
+        config,
+        scheduler,
+        &FaultPlan::default(),
+    )
 }
 
 /// Runs the wreath family under the seeded scheduler with an explicit
@@ -1012,28 +911,14 @@ pub fn run_runtime_wreath_faulted(
     knobs: AsyncKnobs,
     faults: &FaultPlan,
 ) -> Result<TransformationOutcome, CoreError> {
-    validate_input(network, uids, wreath.name)?;
-    let initial = network.graph().clone();
-    let n = initial.node_count();
-    let mut actors = build_actors(n, uids, &initial);
-    let mut driver = WreathDriver::new(
-        config,
+    run_wreath(
+        network,
+        uids,
         wreath,
-        &initial,
-        n,
-        NestedEngine::Seeded { seed },
-        knobs,
-    );
-    let report = SeededScheduler::new(seed)
-        .with_knobs(knobs)
-        .run_phased_with_faults(network, &mut actors, faults, |net, acts, start, _phase| {
-            driver.step(net, acts, start)
-        })?;
-    let leader = driver
-        .plan
-        .forest()
-        .leader(driver.plan.forest().live_ids()[0]);
-    finish(network, leader, driver.ledger, report)
+        config,
+        Scheduler::Seeded { seed, knobs },
+        faults,
+    )
 }
 
 #[cfg(test)]
@@ -1101,6 +986,14 @@ mod tests {
         .expect("free star must succeed");
         assert_eq!(outcome.final_graph, sync.final_graph);
         assert_eq!(outcome.committees_per_phase, sync.committees_per_phase);
+        assert_eq!(
+            outcome.metrics.total_activations,
+            sync.metrics.total_activations
+        );
+        assert_eq!(
+            outcome.metrics.total_deactivations,
+            sync.metrics.total_deactivations
+        );
     }
 
     #[test]
@@ -1143,6 +1036,14 @@ mod tests {
         .expect("free wreath must succeed");
         assert_eq!(outcome.final_graph, sync.final_graph);
         assert_eq!(outcome.committees_per_phase, sync.committees_per_phase);
+        assert_eq!(
+            outcome.metrics.total_activations,
+            sync.metrics.total_activations
+        );
+        assert_eq!(
+            outcome.metrics.total_deactivations,
+            sync.metrics.total_deactivations
+        );
     }
 
     #[test]

@@ -35,7 +35,6 @@
 #![warn(missing_docs)]
 
 pub mod actor;
-pub mod adapter;
 pub mod fault;
 pub mod flood;
 pub mod free;
@@ -43,7 +42,6 @@ pub mod seeded;
 pub mod termination;
 
 pub use actor::{AsyncProgram, Context, Envelope};
-pub use adapter::SyncAdapter;
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
 pub use flood::FloodActor;
 pub use free::FreeScheduler;

@@ -9,7 +9,7 @@
 //! metrics/trace bookkeeping — each with its own push site duplicated
 //! across both `commit_round` paths (serial and sharded) and every
 //! `fault_*` entry point. The bus replaces them with a single recorded
-//! [`RoundEvent`] stream plus per-consumer cursors ([`BusTap`]): each
+//! [`RoundEvent`] stream plus per-consumer cursors (`BusTap`): each
 //! consumer arms its tap, mutations are recorded once, and each drain
 //! maps the pending slice into the consumer's legacy representation
 //! (sorted node set, [`crate::EdgeDelta`] vector, DST replay feed, raw
@@ -17,8 +17,8 @@
 //! drained, so steady-state memory is one round of events.
 //!
 //! The always-on consumers — [`crate::EdgeMetrics`], the per-round
-//! [`crate::RoundStats`] trace and the [`DegreeTracker`] degree
-//! histogram — do not buffer: they live in the [`RoundLedger`] inline
+//! [`crate::RoundStats`] trace and the `DegreeTracker` degree
+//! histogram — do not buffer: they live in the `RoundLedger` inline
 //! subscriber and are updated synchronously at the same emission points,
 //! so untraced executions with no taps armed pay two branch tests per
 //! mutation and nothing else.

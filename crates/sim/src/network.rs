@@ -4,7 +4,7 @@
 //! edge-deltas, DST topology replay, raw event recording, metrics and
 //! the per-round trace — hangs off one [`RoundEvent`] bus (see
 //! [`crate::bus`]): each applied mutation is emitted from exactly one
-//! place ([`EdgeSink::edge`] for edges, the join/crash/boundary points
+//! place (`EdgeSink::edge` for edges, the join/crash/boundary points
 //! below for the rest) and fanned out to whichever consumers are armed.
 
 use crate::bus::{BusTap, EdgeSink, EventBus, RoundLedger};

@@ -185,6 +185,15 @@ fn assert_same_committees(
         seeded.committees_per_phase, sync.committees_per_phase,
         "{label}"
     );
+    // Both engines run the same planned edge operations.
+    assert_eq!(
+        seeded.metrics.total_activations, sync.metrics.total_activations,
+        "{label}"
+    );
+    assert_eq!(
+        seeded.metrics.total_deactivations, sync.metrics.total_deactivations,
+        "{label}"
+    );
     assert_eq!(
         seeded
             .runtime
