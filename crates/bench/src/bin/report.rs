@@ -21,6 +21,10 @@
 //! * `... report -- --runtime [cases] [--threads N]` — run the
 //!   asynchronous-runtime seed sweep (seeded scheduler, async scenarios)
 //!   and verify byte-identical replay on a subset;
+//! * `... report -- --dump-renders [cases] [--threads N]` — print the
+//!   render of every stress case (default 1344) computed on `N` worker
+//!   threads (default: available cores); the dump is byte-identical for
+//!   every `N`, and CI pins its md5;
 //! * `... report -- --dump-renders-traced [cases]` — render a slice of
 //!   the stress sweep with per-round tracing enabled (byte-identical to
 //!   the untraced dump; exercises the traced `max_degree` path);
@@ -29,13 +33,13 @@
 //!   (`--quick` is the reduced CI smoke pass).
 
 /// Extracts `--threads N` from `args` (removing both tokens); `None` when
-/// the flag is absent.
+/// the flag is absent. `N = 0` means one thread per available core.
 fn take_threads(args: &mut Vec<String>) -> Option<usize> {
     let pos = args.iter().position(|a| a == "--threads")?;
     let value = args
         .get(pos + 1)
         .and_then(|s| s.parse().ok())
-        .expect("usage: --threads <positive integer>");
+        .expect("usage: --threads <count> (0 = all available cores)");
     args.drain(pos..=pos + 1);
     Some(value)
 }

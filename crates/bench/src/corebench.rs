@@ -218,9 +218,9 @@ fn scale_wave(n: usize, k: usize, seed: u64) -> (Vec<WaveActivation>, Vec<Edge>)
 
 /// The scaling rows the ROADMAP's million-node item commits to: arena
 /// batch build plus a full adjacency sweep (`graph/scale`), and a staged
-/// jump wave committed on the serial vs the sharded path
-/// (`network/commit_round_sharded`), each annotated with a
-/// `bytes_per_node` footprint stat. The n = 10^6 points run in the
+/// jump wave committed and dropped by `commit_round`
+/// (`network/commit_round_sharded`, a historical name), each annotated
+/// with a `bytes_per_node` footprint stat. The n = 10^6 points run in the
 /// separate one-shot cold group (full mode only) so `--quick` stays fast.
 fn bench_scale(bench: &mut Bench, n: usize, cold: bool) {
     let m = 2 * n;
@@ -252,35 +252,29 @@ fn bench_scale(bench: &mut Bench, n: usize, cold: bool) {
     drop(g);
 
     // One wave of k activations committed, then dropped — back to the
-    // initial star each iteration. threads=1 is the serial batch path;
-    // threads=4 the sharded worker pool (the label pins the count so the
-    // row is machine-independent).
+    // initial star each iteration, on `commit_round`'s serial batch
+    // apply. The `commit_round_sharded … threads=1` label is kept
+    // verbatim so the gated baseline rows stay comparable.
     let k = (n / 4).max(1024);
     let (wave, drops) = scale_wave(n, k, 0xC0557);
-    for threads in [1usize, 4] {
-        let mut net = Network::new(generators::star(n));
-        net.set_commit_threads(threads);
-        let commit_cycle = |net: &mut Network| {
-            net.stage_jump_wave(&wave, &[]).expect("hub-witnessed wave");
-            net.commit_round();
-            net.stage_jump_wave(&[], &drops).expect("edges are active");
-            net.commit_round();
-            assert_eq!(net.activated_edge_count(), 0);
-        };
-        let label = format!("network/commit_round_sharded star n={n} wave={k} threads={threads}");
-        if cold {
-            bench.measure_cold(&label, || commit_cycle(&mut net));
-        } else {
-            bench.measure(&label, || commit_cycle(&mut net));
-        }
-        bench.annotate(
-            "bytes_per_node",
-            (net.graph().memory_footprint_bytes() / n) as u128,
-        );
-        if threads > 1 {
-            bench.annotate("cores", resolve_threads(0) as u128);
-        }
+    let mut net = Network::new(generators::star(n));
+    let commit_cycle = |net: &mut Network| {
+        net.stage_jump_wave(&wave, &[]).expect("hub-witnessed wave");
+        net.commit_round();
+        net.stage_jump_wave(&[], &drops).expect("edges are active");
+        net.commit_round();
+        assert_eq!(net.activated_edge_count(), 0);
+    };
+    let label = format!("network/commit_round_sharded star n={n} wave={k} threads=1");
+    if cold {
+        bench.measure_cold(&label, || commit_cycle(&mut net));
+    } else {
+        bench.measure(&label, || commit_cycle(&mut net));
     }
+    bench.annotate(
+        "bytes_per_node",
+        (net.graph().memory_footprint_bytes() / n) as u128,
+    );
 }
 
 /// The full-mode-only n = 10^6 group: the scaling rows plus one complete
@@ -1276,8 +1270,8 @@ mod tests {
     fn pinned_threads_parses_labels() {
         assert_eq!(pinned_threads("sweep/threads=4 cases=96"), Some(4));
         assert_eq!(
-            pinned_threads("network/commit_round_sharded star n=65536 wave=16384 threads=4"),
-            Some(4)
+            pinned_threads("network/commit_round_sharded star n=65536 wave=16384 threads=1"),
+            Some(1)
         );
         assert_eq!(
             pinned_threads("runtime/flood_free n=4096 threads=2"),

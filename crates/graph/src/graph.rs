@@ -48,7 +48,7 @@ impl Edge {
 }
 
 /// Smallest capacity a freshly allocated block receives.
-pub(crate) const MIN_BLOCK_CAP: usize = 4;
+const MIN_BLOCK_CAP: usize = 4;
 
 /// Compaction trigger: at least this many dead slots *and* at least a
 /// quarter of the arena dead. The floor keeps tiny graphs from compacting
@@ -62,7 +62,7 @@ const COMPACT_MIN_DEAD: usize = 64;
 /// Value written into never-read slack slots (`len..cap` of a block) so a
 /// stray read shows up as an obviously-broken node id instead of a
 /// plausible one.
-pub(crate) const PAD: NodeId = NodeId(usize::MAX);
+const PAD: NodeId = NodeId(usize::MAX);
 
 /// A simple undirected graph on the fixed vertex set `{0, …, n-1}`.
 ///
@@ -86,19 +86,19 @@ pub(crate) const PAD: NodeId = NodeId(usize::MAX);
 /// slices).
 #[derive(Debug, Clone)]
 pub struct Graph {
-    pub(crate) n: usize,
+    n: usize,
     /// Per-node block offset into `arena`.
-    pub(crate) start: Vec<usize>,
+    start: Vec<usize>,
     /// Per-node live neighbour count.
-    pub(crate) len: Vec<usize>,
+    len: Vec<usize>,
     /// Per-node block capacity (slots reserved at `start`).
-    pub(crate) cap: Vec<usize>,
+    cap: Vec<usize>,
     /// Shared neighbour storage; every slot belongs to exactly one block's
     /// capacity or is counted in `dead`.
-    pub(crate) arena: Vec<NodeId>,
+    arena: Vec<NodeId>,
     /// Slots abandoned by block relocations, reclaimed at compaction.
-    pub(crate) dead: usize,
-    pub(crate) edge_count: usize,
+    dead: usize,
+    edge_count: usize,
 }
 
 /// Structural equality: same vertex set, same edge set. Arena layout
@@ -115,7 +115,7 @@ impl PartialEq for Graph {
 impl Eq for Graph {}
 
 /// Doubles `cap` (from the minimum block size) until it holds `need`.
-pub(crate) fn grow_cap(cap: usize, need: usize) -> usize {
+fn grow_cap(cap: usize, need: usize) -> usize {
     let mut c = cap.max(MIN_BLOCK_CAP);
     while c < need {
         c *= 2;
@@ -200,7 +200,7 @@ impl Graph {
 
     /// The live neighbour slice of node `u` (by raw index).
     #[inline]
-    pub(crate) fn block(&self, u: usize) -> &[NodeId] {
+    fn block(&self, u: usize) -> &[NodeId] {
         &self.arena[self.start[u]..self.start[u] + self.len[u]]
     }
 
@@ -324,7 +324,7 @@ impl Graph {
     }
 
     /// Compacts the arena if relocations have abandoned enough slots.
-    pub(crate) fn maybe_compact(&mut self) {
+    fn maybe_compact(&mut self) {
         if self.dead >= COMPACT_MIN_DEAD && self.dead * 4 >= self.arena.len() {
             self.compact();
         }

@@ -48,7 +48,6 @@ pub mod graph;
 pub mod properties;
 pub mod rng;
 pub mod rooted;
-pub mod shard;
 pub mod traversal;
 pub mod uid;
 

@@ -7,8 +7,7 @@
 //! deltas for the committee layer's incremental adjacency, a dedicated
 //! topology channel for the DST invariant engine, and the per-round
 //! metrics/trace bookkeeping — each with its own push site duplicated
-//! across both `commit_round` paths (serial and sharded) and every
-//! `fault_*` entry point. The bus replaces them with a single recorded
+//! across `commit_round` and every `fault_*` entry point. The bus replaces them with a single recorded
 //! [`RoundEvent`] stream plus per-consumer cursors (`BusTap`): each
 //! consumer arms its tap, mutations are recorded once, and each drain
 //! maps the pending slice into the consumer's legacy representation
@@ -330,14 +329,13 @@ impl RoundLedger {
 }
 
 /// The single emission point for applied edge mutations. Every apply
-/// path of the network — the serial batch callbacks, the sharded
-/// filtered columns, and each adversarial fault entry point — funnels
-/// through [`EdgeSink::edge`], which classifies the edge against the
-/// initial network, keeps the activated-edge counters and the inline
-/// ledger (degree histogram) current, and records the event on the bus.
-/// There is no other place that touches these observables, so the serial
-/// and sharded commit paths and all faults stay byte-identical by
-/// construction.
+/// path of the network — `commit_round`'s batch callbacks and each
+/// adversarial fault entry point — funnels through [`EdgeSink::edge`],
+/// which classifies the edge against the initial network, keeps the
+/// activated-edge counters and the inline ledger (degree histogram)
+/// current, and records the event on the bus. There is no other place
+/// that touches these observables, so commits and faults report them
+/// identically by construction.
 pub(crate) struct EdgeSink<'a> {
     /// The initial network `D(1)` (for the initial-edge classification).
     pub initial: &'a Graph,

